@@ -142,22 +142,33 @@ void RobustL0SamplerIW::DuplicateLoss(uint32_t candidate, PointView p,
 void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   RL0_DCHECK(p.dim() == options_.dim);
 
-  // Duplicate-suppression front-end: an exact repeat of a recently probed
-  // arrival, with the rep table structurally unchanged since (epoch ==
-  // generation), must resolve to the same candidate the full probe found —
-  // re-verify it with the real kernel, then take the identical
-  // duplicate-loss path. Anything else falls through to the full probe.
+  // Duplicate-suppression front-end: replay the verdict the full probe
+  // reached for these exact bytes when it provably still holds
+  // (core/dup_filter.h). A cached candidate needs an intact rep table
+  // (epoch == generation) and a kernel re-verify, then takes the identical
+  // duplicate-loss path. A cached "ignored" verdict (kNpos) stays true as
+  // the level rises (nestedness); only in reservoir mode, where a
+  // representative added nearby would draw a coin, does it need the
+  // epoch. Anything else falls through to the full probe.
   if (dup_filter_.enabled()) {
-    const DupFilter::View hit = dup_filter_.Lookup(grid_.CellKeyOf(p), p);
-    if (hit.found && hit.epoch == reps_.generation()) {
+    const DupFilter::View hit = dup_filter_.Lookup(p);
+    if (hit.found) {
       const uint32_t candidate = hit.payload[0];
-      RL0_DCHECK(reps_.IsLive(candidate));
-      const uint32_t arena = reps_.point_arena_slot(candidate);
-      if (FindFirstWithin(reps_.store(), p, &arena, 1, options_.metric,
-                          options_.alpha) == 0) {
-        dup_filter_.CountHit();
-        DuplicateLoss(candidate, p, stream_index);
-        return;
+      const bool fresh = hit.epoch == reps_.generation();
+      if (candidate == RepTable::kNpos) {
+        if (fresh || !options_.random_representative) {
+          dup_filter_.CountHit();
+          return;
+        }
+      } else if (fresh) {
+        RL0_DCHECK(reps_.IsLive(candidate));
+        const uint32_t arena = reps_.point_arena_slot(candidate);
+        if (FindFirstWithin(reps_.store(), p, &arena, 1, options_.metric,
+                            options_.alpha) == 0) {
+          dup_filter_.CountHit();
+          DuplicateLoss(candidate, p, stream_index);
+          return;
+        }
       }
     }
     dup_filter_.CountMiss();
@@ -168,11 +179,10 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   // on the new-representative path.
   const uint64_t cell_key =
       grid_.AdjacentCellsWithBase(p, options_.alpha, &adj_scratch_);
-  RL0_DCHECK(!dup_filter_.enabled() || grid_.CellKeyOf(p) == cell_key);
   const uint32_t candidate = FindCandidate(p, adj_scratch_);
   if (candidate != RepTable::kNpos) {
     if (dup_filter_.enabled()) {
-      dup_filter_.Store(cell_key, reps_.generation(), p)[0] = candidate;
+      dup_filter_.Store(reps_.generation(), p)[0] = candidate;
     }
     DuplicateLoss(candidate, p, stream_index);
     return;
@@ -188,7 +198,13 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
         break;
       }
     }
-    if (!rejected) return;  // Group is ignored: no sampled cell nearby.
+    if (!rejected) {
+      // Group is ignored: no sampled cell nearby.
+      if (dup_filter_.enabled()) {
+        dup_filter_.Store(reps_.generation(), p)[0] = RepTable::kNpos;
+      }
+      return;
+    }
   }
 
   const uint32_t slot =
@@ -200,7 +216,7 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   // invalidates this entry; recording afterwards could pair a renumbered
   // slot with the post-refilter generation.
   if (dup_filter_.enabled()) {
-    dup_filter_.Store(cell_key, reps_.generation(), p)[0] = slot;
+    dup_filter_.Store(reps_.generation(), p)[0] = slot;
   }
 
   // Halve the sample rate until the accept cap is restored (the paper

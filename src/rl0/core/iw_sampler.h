@@ -208,7 +208,8 @@ class RobustL0SamplerIW {
   RepTable reps_;
 
   // Duplicate-suppression front-end (core/dup_filter.h): caches the probe
-  // outcome of recent exact arrivals, epoch-gated on reps_.generation().
+  // outcome of recent exact arrivals — the candidate slot, epoch-gated on
+  // reps_.generation(), or kNpos for an ignored point.
   // Scratch state — not charged to the SpaceMeter, never snapshotted.
   DupFilter dup_filter_;
 

@@ -245,9 +245,9 @@ class RepTable {
   /// Compact, set_point.
   ///
   /// The duplicate-suppression front-end (core/dup_filter.h) records this
-  /// value with each cached (cell key → slot) entry and replays only when
-  /// it still matches, so cached slots never dangle across refilters or
-  /// compaction repacks. Reservoir-column setters (set_sample_point etc.)
+  /// value with each cached (point bytes → slot) entry and replays only
+  /// when it still matches, so cached slots never dangle across refilters
+  /// or compaction repacks. Reservoir-column setters (set_sample_point etc.)
   /// deliberately do NOT bump: probes never read those columns, and the
   /// replayed duplicate-loss path re-draws the reservoir coin itself.
   /// Monotone (never reset), so stale entries can never collide back.

@@ -117,8 +117,6 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   prep.cell_key = ctx_->grid.AdjacentCellsWithBase(p, ctx_->options.alpha,
                                                    &adj_scratch_);
   prep.adj_keys = &adj_scratch_;
-  RL0_DCHECK(!dup_filter_.enabled() ||
-             ctx_->grid.CellKeyOf(p) == prep.cell_key);
 
   // The arrival is recordable for replay only when every probed level
   // either ignored it or purely refreshed an existing group (no new
@@ -173,7 +171,7 @@ uint64_t RobustL0SamplerSW::SuffixEpoch(size_t from_level) const {
 
 bool RobustL0SamplerSW::TryReplayDuplicate(const Point& p, int64_t stamp,
                                            uint64_t stream_index) {
-  const DupFilter::View hit = dup_filter_.Lookup(ctx_->grid.CellKeyOf(p), p);
+  const DupFilter::View hit = dup_filter_.Lookup(p);
   if (!hit.found) {
     dup_filter_.CountMiss();
     return false;
@@ -252,8 +250,7 @@ void RobustL0SamplerSW::RecordDuplicate(const PreparedPoint& prep,
                                         size_t accept_level) {
   const size_t probe_floor =
       accept_level >= levels_.size() ? 0 : accept_level;
-  uint32_t* payload = dup_filter_.Store(prep.cell_key,
-                                        SuffixEpoch(probe_floor), *prep.point);
+  uint32_t* payload = dup_filter_.Store(SuffixEpoch(probe_floor), *prep.point);
   payload[0] = static_cast<uint32_t>(accept_level);
   for (size_t l = 0; l < levels_.size(); ++l) {
     payload[1 + l] = touch_scratch_[l];

@@ -13,7 +13,9 @@
 
 #include "rl0/core/dup_filter.h"
 #include "rl0/core/iw_sampler.h"
+#include "rl0/geom/metric.h"
 #include "rl0/geom/point.h"
+#include "rl0/grid/random_grid.h"
 
 namespace rl0 {
 namespace {
@@ -29,13 +31,13 @@ TEST(DupFilterTest, CompiledInMatchesBuildConfiguration) {
 TEST(DupFilterTest, DefaultAndDisabledFiltersAreInert) {
   DupFilter none;
   EXPECT_FALSE(none.enabled());
-  EXPECT_FALSE(none.Lookup(42, Point{1.0, 2.0}).found);
-  EXPECT_EQ(none.Store(42, 0, Point{1.0, 2.0}), nullptr);
+  EXPECT_FALSE(none.Lookup(Point{1.0, 2.0}).found);
+  EXPECT_EQ(none.Store(0, Point{1.0, 2.0}), nullptr);
 
   DupFilter off(/*dim=*/2, /*payload_len=*/1, /*enabled=*/false);
   EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.Lookup(42, Point{1.0, 2.0}).found);
-  EXPECT_EQ(off.Store(42, 0, Point{1.0, 2.0}), nullptr);
+  EXPECT_FALSE(off.Lookup(Point{1.0, 2.0}).found);
+  EXPECT_EQ(off.Store(0, Point{1.0, 2.0}), nullptr);
   // Everything the sampler processed counts as bypassed.
   const DupFilterStats stats = off.stats(/*points_processed=*/17);
   EXPECT_EQ(stats.hits, 0u);
@@ -49,21 +51,28 @@ TEST(DupFilterTest, StoreLookupRoundtrip) {
   ASSERT_TRUE(filter.enabled());
   const Point p{1.5, -2.25, 3.0};
 
-  uint32_t* payload = filter.Store(/*cell_key=*/99, /*epoch=*/7, p);
+  uint32_t* payload = filter.Store(/*epoch=*/7, p);
   ASSERT_NE(payload, nullptr);
   payload[0] = 11;
   payload[1] = 22;
 
-  const DupFilter::View hit = filter.Lookup(99, p);
+  const DupFilter::View hit = filter.Lookup(p);
   ASSERT_TRUE(hit.found);
   EXPECT_EQ(hit.epoch, 7u);
   EXPECT_EQ(hit.payload[0], 11u);
   EXPECT_EQ(hit.payload[1], 22u);
 
-  // Same key, different bytes: the guard must reject.
-  EXPECT_FALSE(filter.Lookup(99, Point{1.5, -2.25, 3.0000001}).found);
-  // Different key entirely.
-  EXPECT_FALSE(filter.Lookup(100, p).found);
+  // Nearby bytes: the guard must reject.
+  EXPECT_FALSE(filter.Lookup(Point{1.5, -2.25, 3.0000001}).found);
+  // Same cell, different bytes: -0.0 == 0.0 as coordinates and quantizes
+  // to the same cell, but entries are keyed and guarded by bytes.
+  const Point zero{0.0, 0.5, 0.5}, neg_zero{-0.0, 0.5, 0.5};
+  const RandomGrid grid(/*dim=*/3, /*side=*/4.0, /*seed=*/5, Metric::kL2);
+  ASSERT_EQ(zero, neg_zero);
+  ASSERT_EQ(grid.CellKeyOf(zero), grid.CellKeyOf(neg_zero));
+  filter.Store(/*epoch=*/1, zero)[0] = 33;
+  EXPECT_TRUE(filter.Lookup(zero).found);
+  EXPECT_FALSE(filter.Lookup(neg_zero).found);
 }
 
 TEST(DupFilterTest, LookupReportsEpochForCallerSideValidation) {
@@ -73,29 +82,28 @@ TEST(DupFilterTest, LookupReportsEpochForCallerSideValidation) {
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
   DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
   const Point p{4.0};
-  filter.Store(5, /*epoch=*/3, p)[0] = 1;
-  const DupFilter::View hit = filter.Lookup(5, p);
+  filter.Store(/*epoch=*/3, p)[0] = 1;
+  const DupFilter::View hit = filter.Lookup(p);
   ASSERT_TRUE(hit.found);
   EXPECT_EQ(hit.epoch, 3u);  // caller checks this against generation()
   // Re-storing refreshes the epoch in place.
-  filter.Store(5, /*epoch=*/9, p)[0] = 2;
-  const DupFilter::View refreshed = filter.Lookup(5, p);
+  filter.Store(/*epoch=*/9, p)[0] = 2;
+  const DupFilter::View refreshed = filter.Lookup(p);
   ASSERT_TRUE(refreshed.found);
   EXPECT_EQ(refreshed.epoch, 9u);
   EXPECT_EQ(refreshed.payload[0], 2u);
 }
 
-TEST(DupFilterTest, SameCellPatternsShareASet) {
-  // A perturbed arrival shares the exact repeat's cell key but not its
-  // bytes; the two ways let both patterns stay resident instead of
-  // evicting each other (the direct-mapped failure mode).
+TEST(DupFilterTest, SameCellPatternsBothStayResident) {
+  // A perturbed arrival shares the exact repeat's cell but not its bytes;
+  // both patterns stay resident instead of evicting each other.
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
   DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
   const Point hot{1.0}, noise{1.0000001};
-  filter.Store(9, 0, hot)[0] = 1;
-  filter.Store(9, 0, noise)[0] = 2;
-  const DupFilter::View h = filter.Lookup(9, hot);
-  const DupFilter::View n = filter.Lookup(9, noise);
+  filter.Store(0, hot)[0] = 1;
+  filter.Store(0, noise)[0] = 2;
+  const DupFilter::View h = filter.Lookup(hot);
+  const DupFilter::View n = filter.Lookup(noise);
   ASSERT_TRUE(h.found);
   ASSERT_TRUE(n.found);
   EXPECT_EQ(h.payload[0], 1u);
@@ -104,38 +112,36 @@ TEST(DupFilterTest, SameCellPatternsShareASet) {
 
 TEST(DupFilterTest, SetEvictsLeastRecentlyUsedWay) {
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  // Find three keys mapping to the same set (same top 7 bits of the
-  // multiplicative hash): the third store must evict the way the set
+  // Find three points mapping to the same set (searched with the filter's
+  // own slot function): the third store must evict the way the set
   // touched least recently, not the hottest entry.
-  const auto set_of = [](uint64_t key) {
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 57);
-  };
-  const uint64_t a = 1;
-  uint64_t b = 2;
-  while (set_of(b) != set_of(a)) ++b;
-  uint64_t c = b + 1;
-  while (set_of(c) != set_of(a)) ++c;
+  const Point pa{1.0};
+  double x = 2.0;
+  while (DupFilter::SetOf(Point{x}) != DupFilter::SetOf(pa)) x += 1.0;
+  const Point pb{x};
+  x += 1.0;
+  while (DupFilter::SetOf(Point{x}) != DupFilter::SetOf(pa)) x += 1.0;
+  const Point pc{x};
 
   DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
-  const Point pa{1.0}, pb{2.0}, pc{3.0};
-  filter.Store(a, 0, pa)[0] = 1;
-  filter.Store(b, 0, pb)[0] = 2;
-  ASSERT_TRUE(filter.Lookup(a, pa).found);  // marks a's way most-recent
-  filter.Store(c, 0, pc)[0] = 3;
-  EXPECT_TRUE(filter.Lookup(a, pa).found);   // survived: it was hot
-  EXPECT_TRUE(filter.Lookup(c, pc).found);
-  EXPECT_FALSE(filter.Lookup(b, pb).found);  // evicted as least-recent
+  filter.Store(0, pa)[0] = 1;
+  filter.Store(0, pb)[0] = 2;
+  ASSERT_TRUE(filter.Lookup(pa).found);  // marks a's way most-recent
+  filter.Store(0, pc)[0] = 3;
+  EXPECT_TRUE(filter.Lookup(pa).found);   // survived: it was hot
+  EXPECT_TRUE(filter.Lookup(pc).found);
+  EXPECT_FALSE(filter.Lookup(pb).found);  // evicted as least-recent
 }
 
 TEST(DupFilterTest, InvalidateDropsEverything) {
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
   DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
   for (uint64_t k = 0; k < 64; ++k) {
-    filter.Store(k, 0, Point{static_cast<double>(k)})[0] = 0;
+    filter.Store(0, Point{static_cast<double>(k)})[0] = 0;
   }
   filter.Invalidate();
   for (uint64_t k = 0; k < 64; ++k) {
-    EXPECT_FALSE(filter.Lookup(k, Point{static_cast<double>(k)}).found);
+    EXPECT_FALSE(filter.Lookup(Point{static_cast<double>(k)}).found);
   }
 }
 

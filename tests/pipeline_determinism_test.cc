@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rl0/core/dup_filter.h"
@@ -196,6 +198,163 @@ TEST(PipelineDeterminismTest, DupFilterOnOffBitIdenticalSharded) {
     EXPECT_GT(pool_on.FilterStats().hits, 0u);
   }
   EXPECT_EQ(pool_off.FilterStats().hits, 0u);
+}
+
+/// Options for DupHeavyStream runs with a small accept cap: the level climbs
+/// to >= 3 and Algorithm 1 ignores most groups, so most exact repeats replay
+/// the cached "ignored" verdict.
+SamplerOptions IgnoredHeavyOptions(uint64_t seed, bool reservoir) {
+  SamplerOptions opts;
+  opts.dim = 2;
+  opts.alpha = 1.0;
+  opts.seed = seed;
+  opts.expected_stream_length = 8192;
+  opts.accept_cap = 8;
+  opts.random_representative = reservoir;
+  return opts;
+}
+
+/// Filter-on and filter-off samplers must agree on everything a caller
+/// or a snapshot can observe.
+void ExpectSamplersIdentical(const RobustL0SamplerIW& on,
+                             const RobustL0SamplerIW& off) {
+  EXPECT_EQ(on.level(), off.level());
+  ExpectSameItems(on.AcceptedRepresentatives(),
+                  off.AcceptedRepresentatives());
+  ExpectSameItems(on.RejectedRepresentatives(),
+                  off.RejectedRepresentatives());
+  Xoshiro256pp rng_on(78), rng_off(78);
+  for (int q = 0; q < 20; ++q) {
+    const auto sample_on = on.Sample(&rng_on);
+    const auto sample_off = off.Sample(&rng_off);
+    ASSERT_EQ(sample_on.has_value(), sample_off.has_value());
+    if (sample_on.has_value()) {
+      EXPECT_EQ(sample_on->point, sample_off->point);
+      EXPECT_EQ(sample_on->stream_index, sample_off->stream_index);
+    }
+  }
+  std::string bytes_on, bytes_off;
+  ASSERT_TRUE(SnapshotSampler(on, &bytes_on).ok());
+  ASSERT_TRUE(SnapshotSampler(off, &bytes_off).ok());
+  EXPECT_EQ(bytes_on, bytes_off);
+}
+
+TEST(PipelineDeterminismTest, DupFilterIgnoredVerdictReplayBitIdentical) {
+  // Exact repeats of groups Algorithm 1 ignores replay the cached verdict
+  // with no adjacency search and no kernel probe; with and without the
+  // reservoir variant the run must match the filter-off run bit for bit.
+  for (const bool reservoir : {false, true}) {
+    SCOPED_TRACE(reservoir);
+    const SamplerOptions opts = IgnoredHeavyOptions(615, reservoir);
+    SamplerOptions off_opts = opts;
+    off_opts.dup_filter = false;
+    auto on = RobustL0SamplerIW::Create(opts).value();
+    auto off = RobustL0SamplerIW::Create(off_opts).value();
+    const std::vector<Point> stream = DupHeavyStream(8000, 120, 616);
+    for (const Point& p : stream) {
+      on.Insert(p);
+      off.Insert(p);
+    }
+    EXPECT_GE(on.level(), 3u);
+    ExpectSamplersIdentical(on, off);
+    if (DupFilter::kCompiledIn) {
+      // The replay must actually carry the stream.
+      EXPECT_GE(2 * on.filter_stats().hits, stream.size());
+    }
+  }
+}
+
+TEST(PipelineDeterminismTest, DupFilterStaleIgnoredVerdictFallsThrough) {
+  // p is ignored; then a representative u within alpha of p is added (a
+  // cell near u is sampled, none near p is); then p arrives again. Its
+  // full probe now finds u. In reservoir mode that draws a coin for u's
+  // group, so the cached "ignored" verdict must not replay: the Add bumped
+  // the generation. Without the reservoir the duplicate-loss path changes
+  // nothing, and the stale verdict replays.
+  for (const bool reservoir : {false, true}) {
+    SCOPED_TRACE(reservoir);
+    SamplerOptions opts = IgnoredHeavyOptions(617, reservoir);
+    opts.accept_cap = 2;
+    SamplerOptions off_opts = opts;
+    off_opts.dup_filter = false;
+    auto on = RobustL0SamplerIW::Create(opts).value();
+    auto off = RobustL0SamplerIW::Create(off_opts).value();
+    // Raise the level with far-away groups.
+    for (int i = 0; off.level() < 2; ++i) {
+      ASSERT_LT(i, 10000);
+      const Point far{1000.0 + 10.0 * i, 0.0};
+      on.Insert(far);
+      off.Insert(far);
+    }
+    // Search an empty region for (p, u): inserting p alone changes no
+    // state (ignored), inserting u alone adds a representative.
+    const auto reps = [](const RobustL0SamplerIW& s) {
+      return s.accept_size() + s.reject_size();
+    };
+    const auto adds = [&](const Point& q) {
+      RobustL0SamplerIW probe = off;
+      probe.Insert(q);
+      return reps(probe) > reps(off);
+    };
+    Point p, u;
+    bool found = false;
+    for (int i = 0; i < 4000 && !found; ++i) {
+      p = Point{-500.0 + 0.37 * i, 250.0};
+      if (adds(p)) continue;
+      for (int dir = 0; dir < 8 && !found; ++dir) {
+        const double theta = 0.7853981633974483 * dir;
+        u = Point{p[0] + 0.9 * std::cos(theta), p[1] + 0.9 * std::sin(theta)};
+        found = adds(u);
+      }
+    }
+    ASSERT_TRUE(found);
+
+    const size_t reps_before = reps(off);
+    for (const Point& q : {p, u}) {
+      on.Insert(q);
+      off.Insert(q);
+    }
+    ASSERT_EQ(reps(off), reps_before + 1);
+    const DupFilterStats before = on.filter_stats();
+    on.Insert(p);
+    off.Insert(p);
+    const DupFilterStats after = on.filter_stats();
+    if (DupFilter::kCompiledIn) {
+      EXPECT_EQ(after.hits - before.hits, reservoir ? 0u : 1u);
+    }
+    for (int i = 0; i < 5; ++i) {
+      on.Insert(p);
+      off.Insert(p);
+    }
+    ExpectSamplersIdentical(on, off);
+  }
+}
+
+TEST(PipelineDeterminismTest, DupFilterIgnoredVerdictShardedMerged) {
+  // Per-lane ignored verdicts through a 3-lane pool: every shard and the
+  // Merged() view must match the filter-off pool.
+  for (const bool reservoir : {false, true}) {
+    SCOPED_TRACE(reservoir);
+    const SamplerOptions opts = IgnoredHeavyOptions(619, reservoir);
+    SamplerOptions off_opts = opts;
+    off_opts.dup_filter = false;
+    const std::vector<Point> stream = DupHeavyStream(9000, 120, 620);
+    const size_t shards = 3;
+    auto pool_on = ShardedSamplerPool::Create(opts, shards).value();
+    auto pool_off = ShardedSamplerPool::Create(off_opts, shards).value();
+    FeedRandomChunks(&pool_on, stream, 883, /*max_chunk=*/97);
+    FeedRandomChunks(&pool_off, stream, 884, /*max_chunk=*/41);
+    for (size_t s = 0; s < shards; ++s) {
+      SCOPED_TRACE(s);
+      EXPECT_GE(pool_on.shard(s).level(), 3u);
+      ExpectSamplersIdentical(pool_on.shard(s), pool_off.shard(s));
+    }
+    ExpectSamplersIdentical(pool_on.Merged().value(),
+                            pool_off.Merged().value());
+    if (DupFilter::kCompiledIn) {
+      EXPECT_GE(2 * pool_on.FilterStats().hits, stream.size());
+    }
+  }
 }
 
 TEST(PipelineDeterminismTest, FeedMatchesPointwiseAcrossWorkerCounts) {

@@ -106,4 +106,35 @@ grep -q "shutting down" "$TMP/server.log" || {
   cat "$TMP/server.log" >&2
   exit 1
 }
-echo "smoke: all three modes byte-identical to rl0_cli; recover OK"
+# Early-SIGTERM race: a SIGTERM sent the moment "listening" appears must
+# still take the orderly path (handlers are installed before the server
+# starts), every time. The server writes into a fifo so the signal goes
+# out as soon as the line is read, not on a polling tick.
+mkfifo "$TMP/early.out"
+for i in $(seq 20); do
+  rm -f "$TMP/sock"
+  "$BUILD/rl0_serve" --unix "$TMP/sock" --threads 2 \
+    --checkpoint-dir "$TMP/ck" > "$TMP/early.out" 2>&1 &
+  SERVER_PID=$!
+  exec 3< "$TMP/early.out"
+  : > "$TMP/early.log"
+  while IFS= read -r line <&3; do
+    echo "$line" >> "$TMP/early.log"
+    if [[ $line == listening* ]]; then
+      kill -TERM "$SERVER_PID"
+      break
+    fi
+  done
+  cat <&3 >> "$TMP/early.log"
+  exec 3<&-
+  status=0
+  wait "$SERVER_PID" || status=$?
+  SERVER_PID=""
+  if [[ $status -ne 0 ]] || ! grep -q "shutting down" "$TMP/early.log"; then
+    echo "smoke: early SIGTERM $i: exit $status, no orderly shutdown" >&2
+    cat "$TMP/early.log" >&2
+    exit 1
+  fi
+done
+echo "smoke: all three modes byte-identical to rl0_cli; recover OK;" \
+  "20 early SIGTERMs shut down in order"

@@ -101,6 +101,11 @@ int main(int argc, char** argv) {
     return Fail("need --unix PATH and/or --port N");
   }
 
+  // Handlers go in before the server starts: a SIGTERM that arrives right
+  // after the "listening" line must still shut down in order.
+  std::signal(SIGINT, HandleSignal);
+  std::signal(SIGTERM, HandleSignal);
+  std::signal(SIGPIPE, SIG_IGN);
   auto server = rl0::serve::Server::Start(options);
   if (!server.ok()) return Fail(server.status().ToString());
 
@@ -112,9 +117,6 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGPIPE, SIG_IGN);
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
