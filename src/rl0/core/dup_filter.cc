@@ -1,15 +1,13 @@
 #include "rl0/core/dup_filter.h"
 
-#include <algorithm>
-
 namespace rl0 {
 
-DupFilter::DupFilter(size_t dim, size_t payload_len, bool enabled)
-    : enabled_(enabled && kCompiledIn), dim_(dim), payload_len_(payload_len) {
+DupFilter::DupFilter(size_t dim, bool enabled)
+    : enabled_(enabled && kCompiledIn), dim_(dim) {
   if (!enabled_) return;
   tags_.assign(kEntries, 0);
   epochs_.assign(kEntries, 0);
-  payload_.assign(kEntries * payload_len_, 0);
+  payloads_.assign(kEntries, 0);
   bytes_.assign(kEntries * dim_, 0.0);
   mru_.assign(kSets, 0);
 }
@@ -22,7 +20,7 @@ DupFilter::View DupFilter::Lookup(PointView p) const {
     const size_t e = s.set * kWays + way;
     if (!EntryMatches(e, s, p)) continue;
     mru_[s.set] = static_cast<uint8_t>(way);
-    v.payload = &payload_[e * payload_len_];
+    v.payload = payloads_[e];
     v.epoch = epochs_[e];
     v.found = true;
     return v;
@@ -30,8 +28,8 @@ DupFilter::View DupFilter::Lookup(PointView p) const {
   return v;
 }
 
-uint32_t* DupFilter::Store(uint64_t epoch, PointView p) {
-  if (!enabled_) return nullptr;
+void DupFilter::Store(uint64_t epoch, PointView p, uint32_t payload) {
+  if (!enabled_) return;
   const Slot s = SlotFor(p);
   // Refresh an identical entry in place (epoch/payload update after a stale
   // replay), else fill an empty way, else evict the way the set touched
@@ -58,16 +56,11 @@ uint32_t* DupFilter::Store(uint64_t epoch, PointView p) {
   const size_t e = s.set * kWays + way;
   mru_[s.set] = static_cast<uint8_t>(way);
   epochs_[e] = epoch;
+  payloads_[e] = payload;
   if (!refresh) {
     tags_[e] = s.tag;
     std::memcpy(&bytes_[e * dim_], p.data(), dim_ * sizeof(double));
   }
-  return &payload_[e * payload_len_];
-}
-
-void DupFilter::Invalidate() {
-  if (!enabled_) return;
-  std::fill(tags_.begin(), tags_.end(), uint16_t{0});
 }
 
 }  // namespace rl0

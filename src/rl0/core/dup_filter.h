@@ -28,30 +28,27 @@ struct DupFilterStats {
 
 // DupFilter is a small 2-way set-associative cache of recently-seen exact
 // arrivals, keyed on a hash of the point's bytes and guarded by the full
-// bytes. Each entry remembers (point bytes, epoch, payload words). The
-// payload is opaque to the filter: the IW sampler stores the
-// representative slot, or RepTable::kNpos for a point Algorithm 1 ignored;
-// the SW sampler stores the accept level plus the per-level touched slots
-// of the recorded descent.
+// bytes. Each entry remembers (point bytes, epoch, one payload word). The
+// payload is opaque to the filter; its one client, the infinite-window
+// sampler (core/iw_sampler.h), stores the representative slot the full
+// probe found, or RepTable::kNpos for a point Algorithm 1 ignored.
 //
 // Keying by bytes rather than by the quantized cell key lets an arrival
 // consult the filter without quantizing it first; byte-equal points always
-// share a cell, so nothing the samplers replay depends on the key. Two ways
+// share a cell, so nothing the sampler replays depends on the key. Two ways
 // per set, with a most-recently-used bit steering eviction, absorb index
 // conflicts: two hot points whose hashes share a set both stay resident.
 //
 // Decision-identity contract: the filter never decides anything by itself.
 // A Lookup only *finds* the verdict the full probe reached for these exact
-// bytes; the caller replays it only when the sampler can prove the full
-// probe would reach it again, and falls through to the full probe, which is
+// bytes; the sampler replays it only when it can prove the full probe
+// would reach it again, and falls through to the full probe, which is
 // always correct, on any doubt:
 //  * a cached slot is replayed only while the entry's epoch matches the
-//    live structure generation (so slots never dangle across Refilter/
-//    Expire/Compact/Promote repacks) and the real distance kernel
-//    re-verifies the cached representative. Epoch validation lives with the
-//    caller because the SW epoch is itself a function of the payload (the
-//    accept level selects which level generations participate).
-//  * the IW "ignored" verdict (no candidate, no sampled cell within alpha)
+//    RepTable generation (so slots never dangle across Refilter/Compact
+//    repacks) and the real distance kernel re-verifies the cached
+//    representative; it then takes the full probe's duplicate-loss path.
+//  * the "ignored" verdict (no candidate, no sampled cell within alpha)
 //    needs no kernel re-verify: the level only rises while a filter lives
 //    and h_R is nested (paper Fact 1(b)), so the point can never become a
 //    representative, and the only other outcome of a full probe, the
@@ -60,6 +57,10 @@ struct DupFilterStats {
 //    only while the epoch still matches the RepTable generation: a later
 //    Add within alpha of the point bumps it.
 //
+// The sliding-window sampler has no filter: a replay there would have to
+// be validated against all ~15 levels its descent probes, and churn at any
+// of them invalidates the entry (see docs/ARCHITECTURE.md).
+//
 // The filter's arrays are scratch state (like adj_scratch_): they are not
 // charged to the SpaceMeter and never enter snapshots, so snapshot bytes are
 // identical with the filter on or off; a restored sampler starts cold.
@@ -67,7 +68,7 @@ class DupFilter {
  public:
   // True when the front-end is compiled in (-DRL0_NO_DUP_FILTER removes it;
   // every construction then degenerates to a disabled filter and the replay
-  // code paths become dead).
+  // code path becomes dead).
 #if defined(RL0_NO_DUP_FILTER)
   static constexpr bool kCompiledIn = false;
 #else
@@ -78,10 +79,9 @@ class DupFilter {
   static constexpr size_t kSets = 128;
   static constexpr size_t kEntries = kSets * kWays;
 
-  // Result of a probe. `payload` points at `payload_len` words recorded by
-  // the matching Store; valid until the next Store/Invalidate.
+  // Result of a probe: the payload and epoch of the matching Store.
   struct View {
-    const uint32_t* payload = nullptr;
+    uint32_t payload = 0;
     uint64_t epoch = 0;
     bool found = false;
   };
@@ -89,10 +89,9 @@ class DupFilter {
   // A default-constructed filter is disabled and allocation-free.
   DupFilter() = default;
 
-  // `payload_len` is the number of uint32 words the caller records per entry.
   // A disabled filter allocates nothing; Lookup always misses (without
   // counting) and Store is a no-op.
-  DupFilter(size_t dim, size_t payload_len, bool enabled);
+  DupFilter(size_t dim, bool enabled);
 
   bool enabled() const { return enabled_; }
 
@@ -101,16 +100,11 @@ class DupFilter {
   // entry is safe to replay even across -0.0/NaN oddities.
   View Lookup(PointView p) const;
 
-  // Installs an entry for the bytes of `p` and returns the payload words for
-  // the caller to fill, or nullptr when disabled. Way choice within the set:
-  // an existing entry with identical bytes is refreshed in place, an empty
-  // way is filled next, otherwise the least-recently-used way is evicted.
-  uint32_t* Store(uint64_t epoch, PointView p);
-
-  // Drops every cached entry. Cheap (clears one tag byte array); correctness
-  // never depends on it thanks to epoch validation, but callers may use it
-  // after wholesale rebuilds.
-  void Invalidate();
+  // Installs an entry for the bytes of `p` holding `payload` (no-op when
+  // disabled). Way choice within the set: an existing entry with identical
+  // bytes is refreshed in place, an empty way is filled next, otherwise the
+  // least-recently-used way is evicted.
+  void Store(uint64_t epoch, PointView p, uint32_t payload);
 
   // The set the bytes of `p` map to (tests search it for conflicts).
   static size_t SetOf(PointView p) { return SlotFor(p).set; }
@@ -162,12 +156,11 @@ class DupFilter {
 
   bool enabled_ = false;
   size_t dim_ = 0;
-  size_t payload_len_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   std::vector<uint16_t> tags_;       // 0 == empty
   std::vector<uint64_t> epochs_;     // structure generation at record time
-  std::vector<uint32_t> payload_;    // kEntries * payload_len_
+  std::vector<uint32_t> payloads_;   // one word per entry
   std::vector<double> bytes_;        // kEntries * dim_ exact point bytes
   mutable std::vector<uint8_t> mru_;  // per set: way touched last
 };

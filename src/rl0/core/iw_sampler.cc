@@ -28,7 +28,7 @@ RobustL0SamplerIW::RobustL0SamplerIW(const SamplerOptions& options,
       reservoir_rng_(SplitMix64(options.seed ^ 0x7265737600ULL)),
       accept_cap_(options.EffectiveAcceptCap()),
       reps_(options.dim, options.random_representative),
-      dup_filter_(options.dim, /*payload_len=*/1, options.dup_filter) {
+      dup_filter_(options.dim, options.dup_filter) {
   meter_.Add(kSamplerScalarWords);
 }
 
@@ -153,7 +153,7 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   if (dup_filter_.enabled()) {
     const DupFilter::View hit = dup_filter_.Lookup(p);
     if (hit.found) {
-      const uint32_t candidate = hit.payload[0];
+      const uint32_t candidate = hit.payload;
       const bool fresh = hit.epoch == reps_.generation();
       if (candidate == RepTable::kNpos) {
         if (fresh || !options_.random_representative) {
@@ -181,9 +181,7 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
       grid_.AdjacentCellsWithBase(p, options_.alpha, &adj_scratch_);
   const uint32_t candidate = FindCandidate(p, adj_scratch_);
   if (candidate != RepTable::kNpos) {
-    if (dup_filter_.enabled()) {
-      dup_filter_.Store(reps_.generation(), p)[0] = candidate;
-    }
+    dup_filter_.Store(reps_.generation(), p, candidate);
     DuplicateLoss(candidate, p, stream_index);
     return;
   }
@@ -200,9 +198,7 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
     }
     if (!rejected) {
       // Group is ignored: no sampled cell nearby.
-      if (dup_filter_.enabled()) {
-        dup_filter_.Store(reps_.generation(), p)[0] = RepTable::kNpos;
-      }
+      dup_filter_.Store(reps_.generation(), p, RepTable::kNpos);
       return;
     }
   }
@@ -215,9 +211,7 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   // renumber/remove slots after bumping the generation, which correctly
   // invalidates this entry; recording afterwards could pair a renumbered
   // slot with the post-refilter generation.
-  if (dup_filter_.enabled()) {
-    dup_filter_.Store(reps_.generation(), p)[0] = slot;
-  }
+  dup_filter_.Store(reps_.generation(), p, slot);
 
   // Halve the sample rate until the accept cap is restored (the paper
   // doubles once per arrival; a loop maintains the invariant strictly and

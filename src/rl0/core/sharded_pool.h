@@ -337,12 +337,14 @@ class ShardedSwSamplerPool {
   /// Total space across shards. Requires a quiescent pipeline.
   size_t SpaceWords() const;
 
-  /// Summed duplicate-suppression counters over the per-lane filters
-  /// (each shard owns its own front-end; see core/dup_filter.h).
+  /// Duplicate-suppression counters in the shape of
+  /// ShardedSamplerPool::FilterStats: always {0, 0, points_processed()},
+  /// because the sliding-window sampler has no filter and every arrival
+  /// bypasses one (perfbench's layer breakdown reads both pool kinds).
   /// Requires a quiescent pipeline.
   DupFilterStats FilterStats() const {
     DupFilterStats stats;
-    for (const RobustL0SamplerSW& s : shards_) stats += s.filter_stats();
+    stats.bypassed = points_processed();
     return stats;
   }
 

@@ -125,17 +125,17 @@ uint32_t SwFixedRateSampler::FindCandidate(
   return SwGroupTable::kNpos;
 }
 
-InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
-                                                 uint32_t* touched_slot) {
-  if (touched_slot != nullptr) *touched_slot = SwGroupTable::kNpos;
+InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p) {
   Expire(p.stamp);
 
   const uint32_t candidate = FindCandidate(*p.point, *p.adj_keys);
   if (candidate != SwGroupTable::kNpos) {
     // Same group as a tracked representative: refresh its latest point
     // (Algorithm 2 line 6: A ← (u,p) ∪ A \ (u,·)).
-    ReplayTouch(p, candidate);
-    if (touched_slot != nullptr) *touched_slot = candidate;
+    table_.Touch(candidate, *p.point, p.stamp, p.stream_index);
+    if (ctx_->options.random_representative) {
+      table_.reservoir(candidate).Insert(*p.point, p.stamp, p.stream_index);
+    }
     return table_.accepted(candidate) ? InsertOutcome::kAccepted
                                       : InsertOutcome::kRejected;
   }
@@ -164,14 +164,6 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
   }
   if (accepted) ++accept_size_;
   return accepted ? InsertOutcome::kAccepted : InsertOutcome::kRejected;
-}
-
-void SwFixedRateSampler::ReplayTouch(const PreparedPoint& p, uint32_t slot) {
-  RL0_DCHECK(table_.IsLive(slot));
-  table_.Touch(slot, *p.point, p.stamp, p.stream_index);
-  if (ctx_->options.random_representative) {
-    table_.reservoir(slot).Insert(*p.point, p.stamp, p.stream_index);
-  }
 }
 
 bool SwFixedRateSampler::Insert(const Point& p, int64_t stamp) {

@@ -135,7 +135,6 @@ uint32_t SwGroupTable::Add(uint64_t id, PointView point,
   LinkCell(slot);
   AppendStampTail(slot);
   ++live_;
-  ++generation_;
   return slot;
 }
 
@@ -160,7 +159,6 @@ void SwGroupTable::Remove(uint32_t slot) {
   flags_[slot] = 0;
   free_slots_.push_back(slot);
   --live_;
-  ++generation_;
 }
 
 SwGroupTable::MovedGroup SwGroupTable::Extract(uint32_t slot) {
@@ -180,7 +178,6 @@ SwGroupTable::MovedGroup SwGroupTable::Extract(uint32_t slot) {
   flags_[slot] = 0;
   free_slots_.push_back(slot);
   --live_;
-  ++generation_;
   return g;
 }
 
@@ -201,7 +198,6 @@ uint32_t SwGroupTable::AdoptMoved(MovedGroup&& g) {
   LinkCell(slot);
   InsertStampSorted(slot);
   ++live_;
-  ++generation_;
   return slot;
 }
 
@@ -278,13 +274,9 @@ void SwGroupTable::Compact() {
   for (const auto& entry : heads) {
     cell_index_.SetHead(entry.first, entry.second);
   }
-  ++generation_;
 }
 
 void SwGroupTable::Clear() {
-  // An empty Clear (the common per-arrival Reset of already-empty lower
-  // levels) observes nothing and so must not invalidate filter epochs.
-  if (live_ > 0) ++generation_;
   for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
     if (!IsLive(slot)) continue;
     store_->Release(rep_[slot]);

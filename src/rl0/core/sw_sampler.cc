@@ -33,8 +33,6 @@ RobustL0SamplerSW::RobustL0SamplerSW(const SamplerOptions& options,
     levels_.push_back(std::make_unique<SwFixedRateSampler>(
         ctx_.get(), l, window, id_counter_.get(), store_.get()));
   }
-  dup_filter_ = DupFilter(options.dim, /*payload_len=*/1 + levels_.size(),
-                          options.dup_filter);
   UpdateMeters();
 }
 
@@ -101,14 +99,6 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   latest_stamp_ = stamp;
   ++points_processed_;
 
-  // Duplicate-suppression front-end: replay the recorded descent of an
-  // exact repeat arrival when the probed levels are structurally
-  // unchanged; otherwise fall through to the full descent.
-  if (dup_filter_.enabled() && TryReplayDuplicate(p, stamp, stream_index)) {
-    UpdateMeters();
-    return;
-  }
-
   PreparedPoint prep;
   prep.point = &p;
   prep.stamp = stamp;
@@ -118,17 +108,6 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
                                                    &adj_scratch_);
   prep.adj_keys = &adj_scratch_;
 
-  // The arrival is recordable for replay only when every probed level
-  // either ignored it or purely refreshed an existing group (no new
-  // representatives, no cascade): only then is the whole descent a pure
-  // function of (point bytes, probed-level structure) plus per-group coin
-  // streams the replay re-draws identically.
-  bool pure_touch = dup_filter_.enabled();
-  size_t accept_level = levels_.size();  // sentinel: no accepting level
-  if (pure_touch) {
-    touch_scratch_.assign(levels_.size(), SwGroupTable::kNpos);
-  }
-
   // Algorithm 3 lines 5-18: feed top-down and stop at the highest level
   // that records p in its *accept* set ("accept it at the highest level ℓ
   // in which the point falls into Sacc_ℓ"), pruning everything below it.
@@ -137,124 +116,16 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   // must not stop the descent: the newest point has to end up accepted at
   // some level, or Lemma 2.10's non-emptiness guarantee would fail.
   for (size_t l = levels_.size(); l-- > 0;) {
-    uint32_t touched = SwGroupTable::kNpos;
-    const InsertOutcome outcome = levels_[l]->InsertPrepared(prep, &touched);
-    if (pure_touch && outcome != InsertOutcome::kIgnored) {
-      if (touched == SwGroupTable::kNpos) {
-        pure_touch = false;  // a new representative was installed
-      } else {
-        touch_scratch_[l] = touched;
-      }
+    if (levels_[l]->InsertPrepared(prep) != InsertOutcome::kAccepted) {
+      continue;
     }
-    if (outcome != InsertOutcome::kAccepted) continue;
-    accept_level = l;
     for (size_t j = 0; j < l; ++j) levels_[j]->Reset();
-    if (levels_[l]->accept_size() > accept_cap_) {
-      Cascade(l);
-      pure_touch = false;  // cascade moved groups after the touches
-    }
+    if (levels_[l]->accept_size() > accept_cap_) Cascade(l);
     break;
     // Level 0 samples every cell and has no tracked rejected groups, so
     // the loop always accepts somewhere.
   }
-  if (pure_touch) RecordDuplicate(prep, accept_level);
   UpdateMeters();
-}
-
-uint64_t RobustL0SamplerSW::SuffixEpoch(size_t from_level) const {
-  uint64_t epoch = 0;
-  for (size_t l = from_level; l < levels_.size(); ++l) {
-    epoch += levels_[l]->generation();
-  }
-  return epoch;
-}
-
-bool RobustL0SamplerSW::TryReplayDuplicate(const Point& p, int64_t stamp,
-                                           uint64_t stream_index) {
-  const DupFilter::View hit = dup_filter_.Lookup(p);
-  if (!hit.found) {
-    dup_filter_.CountMiss();
-    return false;
-  }
-  const size_t accept_level = hit.payload[0];
-  // The lowest level the recorded descent probed: its accept level, or
-  // level 0 when no level accepted (the descent then probed all of them).
-  const size_t probe_floor =
-      accept_level >= levels_.size() ? 0 : accept_level;
-  if (hit.epoch != SuffixEpoch(probe_floor)) {
-    dup_filter_.CountMiss();
-    return false;
-  }
-
-  // Phase 1 — all reads and idempotent expiry, no touches yet. The full
-  // descent expires each probed level before probing it; run exactly
-  // those expiry passes in descent order, then re-check the epoch. If an
-  // expiry removed a group (generation bump), the cached descent may no
-  // longer match: abort to the full path, which re-runs Expire at the
-  // same stamp (a no-op now) and proceeds identically to a filter-off
-  // execution. No RNG is consumed and no touch is applied before this
-  // point, so the abort is invisible to the decision stream.
-  for (size_t l = levels_.size(); l-- > probe_floor;) {
-    levels_[l]->Expire(stamp);
-  }
-  if (hit.epoch != SuffixEpoch(probe_floor)) {
-    dup_filter_.CountMiss();
-    return false;
-  }
-
-  // Re-verify every cached touch target with the real kernel against the
-  // cached representative only (the decision-identity contract's guard):
-  // each must still be live with its representative within α of p.
-  for (size_t l = probe_floor; l < levels_.size(); ++l) {
-    const uint32_t slot = hit.payload[1 + l];
-    if (slot == SwGroupTable::kNpos) continue;
-    const SwGroupTable& table = levels_[l]->table();
-    if (!table.IsLive(slot)) {
-      dup_filter_.CountMiss();
-      return false;
-    }
-    const uint32_t arena = table.rep_arena_slot(slot);
-    if (FindFirstWithin(*store_, p, &arena, 1, ctx_->options.metric,
-                        ctx_->options.alpha) != 0) {
-      dup_filter_.CountMiss();
-      return false;
-    }
-  }
-
-  // Phase 2 — replay. With the epoch intact, the full descent's probes
-  // are a pure function of (point bytes, probed-level structure) and
-  // would resolve to exactly the recorded touch targets; apply those
-  // touches in descent order (per-group reservoir coins are drawn in the
-  // full path's order), prune below the accept level, and keep the
-  // cascade check live (it cannot fire: accept sizes are unchanged since
-  // the recording, which saw no cascade).
-  dup_filter_.CountHit();
-  PreparedPoint prep;
-  prep.point = &p;
-  prep.stamp = stamp;
-  prep.stream_index = stream_index;
-  for (size_t l = levels_.size(); l-- > probe_floor;) {
-    const uint32_t slot = hit.payload[1 + l];
-    if (slot != SwGroupTable::kNpos) levels_[l]->ReplayTouch(prep, slot);
-  }
-  if (accept_level < levels_.size()) {
-    for (size_t j = 0; j < accept_level; ++j) levels_[j]->Reset();
-    if (levels_[accept_level]->accept_size() > accept_cap_) {
-      Cascade(accept_level);
-    }
-  }
-  return true;
-}
-
-void RobustL0SamplerSW::RecordDuplicate(const PreparedPoint& prep,
-                                        size_t accept_level) {
-  const size_t probe_floor =
-      accept_level >= levels_.size() ? 0 : accept_level;
-  uint32_t* payload = dup_filter_.Store(SuffixEpoch(probe_floor), *prep.point);
-  payload[0] = static_cast<uint32_t>(accept_level);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    payload[1 + l] = touch_scratch_[l];
-  }
 }
 
 void RobustL0SamplerSW::Insert(const Point& p) {

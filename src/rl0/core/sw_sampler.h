@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "rl0/core/context.h"
-#include "rl0/core/dup_filter.h"
 #include "rl0/core/reorder_buffer.h"
 #include "rl0/core/sample.h"
 #include "rl0/core/sw_fixed_sampler.h"
@@ -222,11 +221,6 @@ class RobustL0SamplerSW {
   /// Peak space in words since construction (reorder buffer included).
   size_t PeakSpaceWords() const { return meter_.peak(); }
 
-  /// Duplicate-suppression front-end counters (core/dup_filter.h).
-  DupFilterStats filter_stats() const {
-    return dup_filter_.stats(points_processed_);
-  }
-
   /// The options in force.
   const SamplerOptions& options() const { return ctx_->options; }
 
@@ -248,30 +242,11 @@ class RobustL0SamplerSW {
   void Cascade(size_t start_level);
   void ExpireAll(int64_t now);
 
-  /// Σ level generation over [from_level, L] — the front-end epoch of a
-  /// descent that probed levels from_level..L. Lower levels are excluded
-  /// because a recorded descent never probes them (they are only Reset,
-  /// which the replay performs live regardless of their content); each
-  /// level generation is monotone, so the sum is too and stale entries
-  /// can never collide back to a valid epoch.
-  uint64_t SuffixEpoch(size_t from_level) const;
-
   /// SpaceWords() minus the reorder buffer: the durable sampler state.
   size_t CoreSpaceWords() const;
   /// Refreshes both space meters after a state change.
   void UpdateMeters();
 
-  /// Attempts to replay a recorded descent for an exact repeat arrival.
-  /// Returns true when the arrival was fully handled (bit-identically to
-  /// the full descent); false means the caller must run the full descent
-  /// (any expiry work already done here is a prefix of what the full
-  /// descent performs, so falling through stays identical too).
-  bool TryReplayDuplicate(const Point& p, int64_t stamp,
-                          uint64_t stream_index);
-
-  /// Records a completed pure-touch descent (touch targets in
-  /// touch_scratch_) under the suffix epoch of its probed levels.
-  void RecordDuplicate(const PreparedPoint& prep, size_t accept_level);
   /// Collects the rate-unified candidate pool (Algorithm 3 lines 19-22),
   /// unified to max(own deepest level, min_level); min_level < 0 means
   /// the sampler's own deepest level.
@@ -291,28 +266,19 @@ class RobustL0SamplerSW {
   uint64_t stuck_split_count_ = 0;
   SpaceMeter meter_;
   /// Peak of CoreSpaceWords() only. Snapshots serialize THIS peak: the
-  /// reorder buffer is scratch (like the dup filter), so its transient
-  /// occupancy must not leak into snapshot bytes — late-path and strict
-  /// sorted feeds stay bit-identical (the PR 7 contract).
+  /// reorder buffer is scratch, so its transient occupancy must not leak
+  /// into snapshot bytes — late-path and strict sorted feeds stay
+  /// bit-identical (the PR 7 contract).
   SpaceMeter core_meter_;
   std::vector<uint64_t> adj_scratch_;
-
-  // Duplicate-suppression front-end (core/dup_filter.h). Payload layout:
-  // word 0 = accept level (levels_.size() when no level accepted), words
-  // 1..L+1 = per-level touched slot or SwGroupTable::kNpos. Scratch state
-  // — not charged to the SpaceMeter, never snapshotted.
-  DupFilter dup_filter_;
-  // Per-level touch targets of the descent in flight (kNpos = level
-  // ignored or arrival not recordable).
-  std::vector<uint32_t> touch_scratch_;
 
   /// Drains the reorder stage's staged releases through the strict
   /// insert core and folds its low watermark into the event watermark.
   void DrainLateReleases();
 
   // Bounded-lateness front-end of InsertStampedLate (lazy; serial-path
-  // twin of the pool's reorder stage). Like the dup filter, scratch
-  // state: never snapshotted.
+  // twin of the pool's reorder stage). Scratch state: never
+  // snapshotted.
   std::unique_ptr<ReorderStage> reorder_;
   std::vector<Point> late_points_scratch_;
   std::vector<int64_t> late_stamps_scratch_;

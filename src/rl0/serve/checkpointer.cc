@@ -1,10 +1,12 @@
 #include "rl0/serve/checkpointer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <system_error>
+#include <vector>
 
 namespace rl0 {
 namespace serve {
@@ -98,12 +100,22 @@ PoolCheckpointer::~PoolCheckpointer() {
 Status PoolCheckpointer::Rebase() {
   // The stale deltas chain against the pre-crash epoch; remove them
   // before the fresh full cut overwrites ckpt-000000.full, so a crash
-  // mid-rebase can never leave a full base next to foreign deltas.
-  for (size_t i = 1;; ++i) {
-    const std::string name = CheckpointFileName(dir_, i, /*full=*/false);
-    std::error_code ec;
-    if (!std::filesystem::remove(name, ec)) break;
+  // mid-rebase can never leave a full base next to foreign deltas. Every
+  // ckpt-*.delta goes, not just the run from 1 up: an earlier rebase cut
+  // short after removing delta 1 leaves 2..k behind, which the new
+  // chain's delta 1 would otherwise be followed by. Highest index first,
+  // so an interrupted removal leaves a foldable prefix of the chain.
+  std::vector<std::string> stale;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 11 && name.compare(0, 5, "ckpt-") == 0 &&
+        name.compare(name.size() - 6, 6, ".delta") == 0) {
+      stale.push_back(entry.path().string());
+    }
   }
+  std::sort(stale.rbegin(), stale.rend());
+  for (const std::string& path : stale) std::filesystem::remove(path, ec);
   chain_.clear();
   cuts_ = 0;
   const Status status = Cut();  // full (chain_ empty), continuing seq

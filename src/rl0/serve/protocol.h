@@ -27,6 +27,9 @@
 //   CLOSE <tenant>
 //   QUIT
 //
+// CREATE accepts `filter=0|1` and ignores it: every tenant runs the
+// sliding-window sampler, which has no duplicate filter.
+//
 // This header is the pure, socket-free half: a LineDecoder that turns
 // arbitrary byte arrivals (partial reads, pipelined commands, oversized
 // garbage) into complete lines, and ParseCommand, which turns one line
@@ -135,6 +138,8 @@ struct CreateParams {
   uint64_t expected_m = uint64_t{1} << 20;
   size_t k = 1;
   bool reservoir = false;
+  /// Parsed from `filter=0|1` and otherwise unused (see the CREATE note
+  /// above).
   bool filter = true;
   /// Checkpoint this tenant under <checkpoint-root>/<tenant> (requires
   /// the server to be started with a checkpoint root).

@@ -113,7 +113,6 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
   opts.k = params.k;
   opts.random_representative = params.reservoir;
   opts.expected_stream_length = params.expected_m;
-  opts.dup_filter = params.filter;
   if (params.mode == TenantMode::kLate) {
     opts.allowed_lateness = params.lateness;
   }
@@ -512,19 +511,16 @@ Result<std::vector<std::string>> TenantRegistry::StatsLines(
   Tenant* t = tenant.get();
   MutexLock lock(&t->mu);
   t->pool->Drain();
-  const DupFilterStats filter = t->pool->FilterStats();
   const ReorderStats late = t->pool->late_stats();
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "STAT tenant=%s mode=%s shards=%zu window=%lld points=%" PRIu64
-      " now=%lld space_words=%zu subs=%zu f0_exact=%.6g f0_observed=%" PRIu64
-      " filter_hit=%" PRIu64 " filter_miss=%" PRIu64 " filter_bypass=%" PRIu64,
+      " now=%lld space_words=%zu subs=%zu f0_exact=%.6g f0_observed=%" PRIu64,
       t->name.c_str(), ModeName(t->params.mode), t->pool->num_shards(),
       static_cast<long long>(t->pool->window()), t->pool->points_fed(),
       static_cast<long long>(t->pool->now()), t->pool->SpaceWords(),
-      t->subs.size(), t->cvm.Estimate(), t->cvm.observed(), filter.hits,
-      filter.misses, filter.bypassed);
+      t->subs.size(), t->cvm.Estimate(), t->cvm.observed());
   std::string line = buf;
   if (late.offered != 0) {
     std::snprintf(buf, sizeof(buf),

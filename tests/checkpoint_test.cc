@@ -2,18 +2,23 @@
 // (core/checkpoint.h): delta cuts fold to blobs byte-identical to
 // contemporaneous full snapshots, the chain checksum binds every delta
 // to its exact base, journals tolerate torn tails at any byte offset,
-// and pool checkpoints round-trip through RecoverPool.
+// pool checkpoints round-trip through RecoverPool, and the on-disk chain
+// (serve/checkpointer.h) survives an interrupted recovery rebase.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "rl0/core/checkpoint.h"
 #include "rl0/core/snapshot.h"
+#include "rl0/serve/checkpointer.h"
 #include "rl0/util/rng.h"
 
 namespace rl0 {
@@ -770,6 +775,75 @@ TEST(PoolCheckpointTest, RecoverRejectsCorruptInputs) {
   writer2.AppendPoints(SmallPoints(2, 1, 131),
                        pool.points_processed() + 7);
   EXPECT_FALSE(RecoverPool(ckpt, bad_base).ok());
+}
+
+TEST(PoolCheckpointTest, RebaseRemovesDeltasPastAGapInTheChain) {
+  // A rebase cut short after removing ckpt-000001.delta leaves deltas
+  // 2..k on disk. Recovery folds nothing past the gap, and the next
+  // Rebase must still remove them all: otherwise the new chain's delta 1
+  // is followed by a stale delta 2 cut against the old base.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("rl0_ckpt_rebase_gap_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } cleanup{dir};
+  const std::vector<Point> points = Revisits(2000, 60, 1, 121);
+  const SamplerOptions opts = SwOptions(47);
+  const int64_t window = 257;
+
+  {
+    auto pool = ShardedSwSamplerPool::Create(opts, window, 2).value();
+    serve::PoolCheckpointer ckpt(&pool, dir, /*every=*/0, opts.dim);
+    for (size_t cut = 0; cut < 4; ++cut) {  // full + 3 deltas
+      pool.Feed(Span<const Point>(points.data() + 300 * cut, 300));
+      ASSERT_TRUE(ckpt.Finish().ok());
+    }
+  }
+  ASSERT_TRUE(std::filesystem::remove(
+      serve::CheckpointFileName(dir, 1, /*full=*/false)));
+
+  auto chain = serve::LoadCheckpointChain(dir);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain.value().deltas, 0u);
+  auto recovered_r =
+      RecoverPool(chain.value().checkpoint, chain.value().journal);
+  ASSERT_TRUE(recovered_r.ok()) << recovered_r.status().ToString();
+  ShardedSwSamplerPool live = std::move(recovered_r).value();
+  EXPECT_EQ(live.points_processed(), 1200u);
+  {
+    serve::PoolCheckpointer ckpt(&live, dir, /*every=*/0, opts.dim,
+                                 std::move(chain).value());
+    ASSERT_TRUE(ckpt.Rebase().ok());
+    live.Feed(Span<const Point>(points.data() + 1200, 800));
+    ASSERT_TRUE(ckpt.Finish().ok());
+  }
+  for (size_t i = 2; i <= 3; ++i) {
+    EXPECT_FALSE(std::filesystem::exists(
+        serve::CheckpointFileName(dir, i, /*full=*/false)))
+        << "stale delta " << i;
+  }
+
+  auto reloaded = serve::LoadCheckpointChain(dir);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().deltas, 1u);
+  auto again_r =
+      RecoverPool(reloaded.value().checkpoint, reloaded.value().journal);
+  ASSERT_TRUE(again_r.ok()) << again_r.status().ToString();
+  ShardedSwSamplerPool again = std::move(again_r).value();
+  live.Drain();
+  EXPECT_EQ(again.points_processed(), points.size());
+  for (size_t s = 0; s < live.num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameCanonicalState(again.shard(s), live.shard(s));
+  }
+  ExpectLockstepDraws(&again, &live);
 }
 
 }  // namespace

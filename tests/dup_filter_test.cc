@@ -1,10 +1,10 @@
 // Unit tests for the duplicate-suppression front-end (core/dup_filter.h):
-// the set-associative cache mechanics (store/lookup/evict/invalidate), the
+// the set-associative cache mechanics (store/lookup/evict), the
 // caller-side epoch discipline, the disabled and compiled-out
 // configurations, and the counter accounting surfaced through the
-// samplers. The decision-identity contract itself — filter-on equals
-// filter-off bit-for-bit — is pinned by the determinism and fuzz suites;
-// this file covers the cache in isolation.
+// infinite-window sampler. The decision-identity contract itself —
+// filter-on equals filter-off bit-for-bit — is pinned by the determinism
+// and fuzz suites; this file covers the cache in isolation.
 
 #include <gtest/gtest.h>
 
@@ -31,13 +31,13 @@ TEST(DupFilterTest, CompiledInMatchesBuildConfiguration) {
 TEST(DupFilterTest, DefaultAndDisabledFiltersAreInert) {
   DupFilter none;
   EXPECT_FALSE(none.enabled());
+  none.Store(0, Point{1.0, 2.0}, 1);
   EXPECT_FALSE(none.Lookup(Point{1.0, 2.0}).found);
-  EXPECT_EQ(none.Store(0, Point{1.0, 2.0}), nullptr);
 
-  DupFilter off(/*dim=*/2, /*payload_len=*/1, /*enabled=*/false);
+  DupFilter off(/*dim=*/2, /*enabled=*/false);
   EXPECT_FALSE(off.enabled());
+  off.Store(0, Point{1.0, 2.0}, 1);
   EXPECT_FALSE(off.Lookup(Point{1.0, 2.0}).found);
-  EXPECT_EQ(off.Store(0, Point{1.0, 2.0}), nullptr);
   // Everything the sampler processed counts as bypassed.
   const DupFilterStats stats = off.stats(/*points_processed=*/17);
   EXPECT_EQ(stats.hits, 0u);
@@ -47,20 +47,16 @@ TEST(DupFilterTest, DefaultAndDisabledFiltersAreInert) {
 
 TEST(DupFilterTest, StoreLookupRoundtrip) {
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  DupFilter filter(/*dim=*/3, /*payload_len=*/2, /*enabled=*/true);
+  DupFilter filter(/*dim=*/3, /*enabled=*/true);
   ASSERT_TRUE(filter.enabled());
   const Point p{1.5, -2.25, 3.0};
 
-  uint32_t* payload = filter.Store(/*epoch=*/7, p);
-  ASSERT_NE(payload, nullptr);
-  payload[0] = 11;
-  payload[1] = 22;
+  filter.Store(/*epoch=*/7, p, /*payload=*/11);
 
   const DupFilter::View hit = filter.Lookup(p);
   ASSERT_TRUE(hit.found);
   EXPECT_EQ(hit.epoch, 7u);
-  EXPECT_EQ(hit.payload[0], 11u);
-  EXPECT_EQ(hit.payload[1], 22u);
+  EXPECT_EQ(hit.payload, 11u);
 
   // Nearby bytes: the guard must reject.
   EXPECT_FALSE(filter.Lookup(Point{1.5, -2.25, 3.0000001}).found);
@@ -70,44 +66,44 @@ TEST(DupFilterTest, StoreLookupRoundtrip) {
   const RandomGrid grid(/*dim=*/3, /*side=*/4.0, /*seed=*/5, Metric::kL2);
   ASSERT_EQ(zero, neg_zero);
   ASSERT_EQ(grid.CellKeyOf(zero), grid.CellKeyOf(neg_zero));
-  filter.Store(/*epoch=*/1, zero)[0] = 33;
+  filter.Store(/*epoch=*/1, zero, 33);
   EXPECT_TRUE(filter.Lookup(zero).found);
   EXPECT_FALSE(filter.Lookup(neg_zero).found);
 }
 
 TEST(DupFilterTest, LookupReportsEpochForCallerSideValidation) {
-  // The filter deliberately does NOT validate epochs (the SW epoch is a
-  // function of the payload); it hands the recorded epoch back and the
+  // The filter deliberately does NOT validate epochs (a stale "ignored"
+  // verdict may still replay); it hands the recorded epoch back and the
   // caller compares. A stale epoch must therefore still be *found*.
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
+  DupFilter filter(/*dim=*/1, /*enabled=*/true);
   const Point p{4.0};
-  filter.Store(/*epoch=*/3, p)[0] = 1;
+  filter.Store(/*epoch=*/3, p, 1);
   const DupFilter::View hit = filter.Lookup(p);
   ASSERT_TRUE(hit.found);
   EXPECT_EQ(hit.epoch, 3u);  // caller checks this against generation()
   // Re-storing refreshes the epoch in place.
-  filter.Store(/*epoch=*/9, p)[0] = 2;
+  filter.Store(/*epoch=*/9, p, 2);
   const DupFilter::View refreshed = filter.Lookup(p);
   ASSERT_TRUE(refreshed.found);
   EXPECT_EQ(refreshed.epoch, 9u);
-  EXPECT_EQ(refreshed.payload[0], 2u);
+  EXPECT_EQ(refreshed.payload, 2u);
 }
 
 TEST(DupFilterTest, SameCellPatternsBothStayResident) {
   // A perturbed arrival shares the exact repeat's cell but not its bytes;
   // both patterns stay resident instead of evicting each other.
   if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
+  DupFilter filter(/*dim=*/1, /*enabled=*/true);
   const Point hot{1.0}, noise{1.0000001};
-  filter.Store(0, hot)[0] = 1;
-  filter.Store(0, noise)[0] = 2;
+  filter.Store(0, hot, 1);
+  filter.Store(0, noise, 2);
   const DupFilter::View h = filter.Lookup(hot);
   const DupFilter::View n = filter.Lookup(noise);
   ASSERT_TRUE(h.found);
   ASSERT_TRUE(n.found);
-  EXPECT_EQ(h.payload[0], 1u);
-  EXPECT_EQ(n.payload[0], 2u);
+  EXPECT_EQ(h.payload, 1u);
+  EXPECT_EQ(n.payload, 2u);
 }
 
 TEST(DupFilterTest, SetEvictsLeastRecentlyUsedWay) {
@@ -123,30 +119,18 @@ TEST(DupFilterTest, SetEvictsLeastRecentlyUsedWay) {
   while (DupFilter::SetOf(Point{x}) != DupFilter::SetOf(pa)) x += 1.0;
   const Point pc{x};
 
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
-  filter.Store(0, pa)[0] = 1;
-  filter.Store(0, pb)[0] = 2;
+  DupFilter filter(/*dim=*/1, /*enabled=*/true);
+  filter.Store(0, pa, 1);
+  filter.Store(0, pb, 2);
   ASSERT_TRUE(filter.Lookup(pa).found);  // marks a's way most-recent
-  filter.Store(0, pc)[0] = 3;
+  filter.Store(0, pc, 3);
   EXPECT_TRUE(filter.Lookup(pa).found);   // survived: it was hot
   EXPECT_TRUE(filter.Lookup(pc).found);
   EXPECT_FALSE(filter.Lookup(pb).found);  // evicted as least-recent
 }
 
-TEST(DupFilterTest, InvalidateDropsEverything) {
-  if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
-  for (uint64_t k = 0; k < 64; ++k) {
-    filter.Store(0, Point{static_cast<double>(k)})[0] = 0;
-  }
-  filter.Invalidate();
-  for (uint64_t k = 0; k < 64; ++k) {
-    EXPECT_FALSE(filter.Lookup(Point{static_cast<double>(k)}).found);
-  }
-}
-
 TEST(DupFilterTest, StatsAccountingSplitsHitsMissesBypassed) {
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, DupFilter::kCompiledIn);
+  DupFilter filter(/*dim=*/1, DupFilter::kCompiledIn);
   filter.CountHit();
   filter.CountHit();
   filter.CountMiss();

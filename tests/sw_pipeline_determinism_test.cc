@@ -32,12 +32,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "rl0/baseline/exact_partition.h"
 #include "rl0/baseline/legacy_sw_sampler.h"
-#include "rl0/core/dup_filter.h"
 #include "rl0/core/sharded_pool.h"
 #include "rl0/core/snapshot.h"
 #include "rl0/core/worker_fleet.h"
@@ -531,9 +531,40 @@ TEST(SwPipelineDeterminismTest, AdaptiveFeedMatchesPointwise) {
   ExpectSameLevelState(pool.shard(0), pointwise);
 }
 
+/// Time-stamped exact-repeat traffic: 85% of the arrivals repeat one of
+/// `groups` centers byte for byte, the rest are near-duplicates of it;
+/// stamps are mostly dense but occasionally jump past whole windows (big
+/// expiry waves, which also trigger group-table compaction).
+void RepeatStreamWithExpiryWaves(size_t n, size_t groups, uint64_t seed,
+                                 std::vector<Point>* points,
+                                 std::vector<int64_t>* stamps) {
+  Xoshiro256pp rng(SplitMix64(seed));
+  int64_t stamp = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t g = rng.NextBounded(groups);
+    Point p{10.0 * static_cast<double>(g)};
+    if (rng.NextDouble() >= 0.85) p[0] += 0.3 * (rng.NextDouble() - 0.5);
+    points->push_back(p);
+    stamp += rng.NextBounded(60) == 0
+                 ? static_cast<int64_t>(rng.NextBounded(600))
+                 : static_cast<int64_t>(rng.NextBounded(3));
+    stamps->push_back(stamp);
+  }
+}
+
 TEST(SwPipelineDeterminismTest, LegacyDifferentialPinsTheRefactor) {
-  const std::vector<Point> points = RevisitStream(2500, 90, 44);
-  const int64_t window = 199;
+  struct Input {
+    const char* name;
+    std::vector<Point> points;
+    std::vector<int64_t> stamps;  // empty = sequence stamps
+    int64_t window;
+  };
+  std::vector<Input> inputs(2);
+  inputs[0] = {"revisit", RevisitStream(2500, 90, 44), {}, 199};
+  inputs[1].name = "exact-repeats+expiry-waves";
+  inputs[1].window = 257;
+  RepeatStreamWithExpiryWaves(4000, 60, 4242, &inputs[1].points,
+                              &inputs[1].stamps);
 
   struct Config {
     const char* name;
@@ -544,126 +575,32 @@ TEST(SwPipelineDeterminismTest, LegacyDifferentialPinsTheRefactor) {
   // refactored hierarchy intentionally preserves reservoir coin streams
   // (PromoteInto) where the legacy path reseeds — decisions still match,
   // reservoir priorities legitimately do not.
-  for (const Config c : {Config{"rate1", 1 << 20, false},
-                         Config{"rate1+reservoir", 1 << 20, true},
-                         Config{"natural-cap", 0, false}}) {
-    SCOPED_TRACE(c.name);
-    SamplerOptions opts = BaseOptions(904);
-    opts.accept_cap = c.accept_cap;
-    opts.random_representative = c.reservoir;
+  for (const Input& in : inputs) {
+    for (const Config c : {Config{"rate1", 1 << 20, false},
+                           Config{"rate1+reservoir", 1 << 20, true},
+                           Config{"natural-cap", 0, false}}) {
+      SCOPED_TRACE(std::string(in.name) + " / " + c.name);
+      SamplerOptions opts = BaseOptions(904);
+      opts.accept_cap = c.accept_cap;
+      opts.random_representative = c.reservoir;
 
-    auto flat = RobustL0SamplerSW::Create(opts, window).value();
-    auto legacy = LegacySwSampler::Create(opts, window).value();
-    for (const Point& p : points) {
-      flat.Insert(p);
-      legacy.Insert(p);
-    }
-    EXPECT_EQ(flat.error_count(), legacy.error_count());
-    EXPECT_EQ(flat.stuck_split_count(), legacy.stuck_split_count());
-    EXPECT_EQ(flat.SpaceWords(), legacy.SpaceWords());
-    ExpectSameLevelState(flat, legacy);
-  }
-}
-
-TEST(SwPipelineDeterminismTest, DupFilterOnOffBitIdentical) {
-  // The duplicate-suppression front-end on the hierarchy: a recorded
-  // descent replay must take exactly the path the full probe would have
-  // — same touches, same reservoir coins, same Resets and expiry — so
-  // filter-on and filter-off runs stay bit-identical field-for-field
-  // across all levels, through splits, cascades and expiry waves.
-  Xoshiro256pp rng(SplitMix64(4242));
-  std::vector<Point> points;
-  std::vector<int64_t> stamps;
-  int64_t stamp = 0;
-  const size_t groups = 60;
-  for (size_t i = 0; i < 4000; ++i) {
-    const size_t g = rng.NextBounded(groups);
-    Point p{10.0 * static_cast<double>(g)};
-    // 85% exact byte repeats (the front-end's hit case), the rest fresh
-    // near-duplicates that miss and re-arm the cache.
-    if (rng.NextDouble() >= 0.85) p[0] += 0.3 * (rng.NextDouble() - 0.5);
-    points.push_back(p);
-    // Mostly dense stamps, occasionally a jump past whole windows (big
-    // expiry waves, which also trigger group-table compaction).
-    stamp += rng.NextBounded(60) == 0
-                 ? static_cast<int64_t>(rng.NextBounded(600))
-                 : static_cast<int64_t>(rng.NextBounded(3));
-    stamps.push_back(stamp);
-  }
-
-  SamplerOptions opts = BaseOptions(911);  // natural cap: splits run
-  opts.random_representative = true;       // coin-stream identity too
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-  const int64_t window = 257;
-  auto on = RobustL0SamplerSW::Create(opts, window).value();
-  auto off = RobustL0SamplerSW::Create(off_opts, window).value();
-  for (size_t i = 0; i < points.size(); ++i) {
-    on.Insert(points[i], stamps[i]);
-    off.Insert(points[i], stamps[i]);
-    if (i % 499 == 0) ExpectSameLevelState(on, off);
-  }
-  ExpectSameLevelState(on, off);
-  EXPECT_EQ(on.error_count(), off.error_count());
-  EXPECT_EQ(on.stuck_split_count(), off.stuck_split_count());
-
-  // Identical external query RNGs must draw identical samples.
-  Xoshiro256pp rng_on(77), rng_off(77);
-  for (int q = 0; q < 10; ++q) {
-    const auto sample_on = on.SampleLatest(&rng_on);
-    const auto sample_off = off.SampleLatest(&rng_off);
-    ASSERT_EQ(sample_on.has_value(), sample_off.has_value());
-    if (sample_on.has_value()) {
-      EXPECT_EQ(sample_on->point, sample_off->point);
-      EXPECT_EQ(sample_on->stream_index, sample_off->stream_index);
+      auto flat = RobustL0SamplerSW::Create(opts, in.window).value();
+      auto legacy = LegacySwSampler::Create(opts, in.window).value();
+      for (size_t i = 0; i < in.points.size(); ++i) {
+        if (in.stamps.empty()) {
+          flat.Insert(in.points[i]);
+          legacy.Insert(in.points[i]);
+        } else {
+          flat.Insert(in.points[i], in.stamps[i]);
+          legacy.Insert(in.points[i], in.stamps[i]);
+        }
+      }
+      EXPECT_EQ(flat.error_count(), legacy.error_count());
+      EXPECT_EQ(flat.stuck_split_count(), legacy.stuck_split_count());
+      EXPECT_EQ(flat.SpaceWords(), legacy.SpaceWords());
+      ExpectSameLevelState(flat, legacy);
     }
   }
-
-  // The filter is scratch state: snapshots must be byte-identical.
-  std::string bytes_on, bytes_off;
-  ASSERT_TRUE(SnapshotSamplerSW(on, &bytes_on).ok());
-  ASSERT_TRUE(SnapshotSamplerSW(off, &bytes_off).ok());
-  EXPECT_EQ(bytes_on, bytes_off);
-
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(on.filter_stats().hits, 0u);
-  }
-  EXPECT_EQ(off.filter_stats().hits, 0u);
-}
-
-TEST(SwPipelineDeterminismTest, DupFilterOnOffBitIdenticalSharded) {
-  // Per-lane filters through the windowed pipeline: chunked feeding with
-  // different chunkings on the on/off pools, lane state compared
-  // field-for-field.
-  Xoshiro256pp rng(SplitMix64(4343));
-  std::vector<Point> points;
-  const size_t groups = 50;
-  for (size_t i = 0; i < 3000; ++i) {
-    const size_t g = rng.NextBounded(groups);
-    Point p{10.0 * static_cast<double>(g)};
-    if (rng.NextDouble() >= 0.8) p[0] += 0.3 * (rng.NextDouble() - 0.5);
-    points.push_back(p);
-  }
-  SamplerOptions opts = BaseOptions(912);
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-  const int64_t window = 513;
-  const size_t lanes = 3;
-
-  auto pool_on = ShardedSwSamplerPool::Create(opts, window, lanes).value();
-  auto pool_off =
-      ShardedSwSamplerPool::Create(off_opts, window, lanes).value();
-  FeedRandomChunks(&pool_on, points, 661, /*max_chunk=*/97);
-  FeedRandomChunks(&pool_off, points, 662, /*max_chunk=*/41);
-
-  for (size_t s = 0; s < lanes; ++s) {
-    SCOPED_TRACE("lane " + std::to_string(s));
-    ExpectSameLevelState(pool_on.shard(s), pool_off.shard(s));
-  }
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(pool_on.FilterStats().hits, 0u);
-  }
-  EXPECT_EQ(pool_off.FilterStats().hits, 0u);
 }
 
 TEST(SwPipelineDeterminismTest, FixedRateLevelZeroTracksExactWindowGroups) {

@@ -92,9 +92,10 @@ commands:
 Input '-' (or no file) reads CSV points from stdin: one point per line,
 coordinates separated by commas or whitespace; '#' starts a comment.
 
---no-filter disables the duplicate-suppression front-end (identical
-output either way — the front-end never changes decisions; the summary
-lines report its hit/miss/bypass counters).
+--no-filter disables the duplicate-suppression front-end of the
+infinite-window paths (sample without --window, count); identical output
+either way — the front-end never changes decisions; their summary lines
+report its hit/miss/bypass counters. Windowed paths have no front-end.
 )";
 
 struct Args {
@@ -340,7 +341,6 @@ int RunSampleTime(const Args& args, rl0::Metric metric) {
   opts.k = args.k;
   opts.random_representative = args.reservoir;
   opts.expected_stream_length = points.size();
-  opts.dup_filter = !args.no_filter;
   opts.allowed_lateness = args.lateness;
 
   // On the bounded-lateness path the samplers see the reorder stage's
@@ -424,8 +424,7 @@ int RunSampleTime(const Args& args, rl0::Metric metric) {
                  static_cast<long long>(args.window),
                  static_cast<long long>(sw_pool.now()),
                  sw_pool.SpaceWords(),
-                 (FilterNote(sw_pool.FilterStats()) +
-                  LateNote(sw_pool.late_stats()) + CheckpointNote(ckpt.get()))
+                 (LateNote(sw_pool.late_stats()) + CheckpointNote(ckpt.get()))
                      .c_str());
     return 0;
   }
@@ -454,8 +453,7 @@ int RunSampleTime(const Args& args, rl0::Metric metric) {
                "space=%zu words%s]\n",
                static_cast<long long>(args.window),
                static_cast<long long>(sw.watermark()), sw.SpaceWords(),
-               (FilterNote(sw.filter_stats()) + LateNote(sw.late_stats()))
-                   .c_str());
+               LateNote(sw.late_stats()).c_str());
   return 0;
 }
 
@@ -524,9 +522,7 @@ int RunSample(const Args& args) {
                        sw_pool.points_processed()),
                    static_cast<long long>(args.window),
                    sw_pool.SpaceWords(),
-                   (FilterNote(sw_pool.FilterStats()) +
-                    CheckpointNote(ckpt.get()))
-                       .c_str());
+                   CheckpointNote(ckpt.get()).c_str());
       return 0;
     }
     auto sampler = rl0::RobustL0SamplerSW::Create(opts, args.window);
@@ -540,9 +536,8 @@ int RunSample(const Args& args) {
                   sample->point.ToString().c_str(),
                   static_cast<unsigned long long>(sample->stream_index));
     }
-    std::fprintf(stderr, "[window=%lld, space=%zu words%s]\n",
-                 static_cast<long long>(args.window), sw.SpaceWords(),
-                 FilterNote(sw.filter_stats()).c_str());
+    std::fprintf(stderr, "[window=%lld, space=%zu words]\n",
+                 static_cast<long long>(args.window), sw.SpaceWords());
     return 0;
   }
 
@@ -626,9 +621,9 @@ int RunRecover(const Args& args) {
                 sample->point.ToString().c_str(),
                 static_cast<unsigned long long>(sample->stream_index));
   }
-  // Replay rebuilt the duplicate filter and reorder stage too — report
-  // their counters just like the sample paths do, so a recovered run's
-  // summary is directly comparable to the original's.
+  // Replay rebuilt the reorder stage too — report its counters just like
+  // the sample paths do, so a recovered run's summary is directly
+  // comparable to the original's.
   std::fprintf(stderr,
                "[recovered pool: %zu shards, %llu points, now=%lld, "
                "space=%zu words; chain=1 full + %zu deltas, journal=%zuB%s]\n",
@@ -636,8 +631,7 @@ int RunRecover(const Args& args) {
                static_cast<unsigned long long>(pool.points_processed()),
                static_cast<long long>(pool.now()), pool.SpaceWords(),
                chain.value().deltas, chain.value().journal.size(),
-               (FilterNote(pool.FilterStats()) + LateNote(pool.late_stats()))
-                   .c_str());
+               LateNote(pool.late_stats()).c_str());
   return 0;
 }
 
