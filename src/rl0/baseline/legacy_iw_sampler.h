@@ -4,15 +4,11 @@
 // This is a faithful transcription of the original RobustL0SamplerIW
 // ingestion path: one heap-allocated Point per representative, an
 // std::unordered_map<id, Rep> for storage and an
-// std::unordered_multimap<cell, id> for the cell index. It exists for two
-// purposes:
-//
-//   1. Differential testing — the arena/flat-index sampler must make
-//      bit-identical accept/reject decisions for any fixed seed
-//      (tests/differential_test.cc pins AcceptedRepresentatives and
-//      RejectedRepresentatives against this implementation).
-//   2. Benchmarking — bench/bench_ingest.cc measures the ingestion
-//      speedup of the contiguous layout against this pointer-chasing one.
+// std::unordered_multimap<cell, id> for the cell index. It exists for
+// differential testing: the arena/flat-index sampler must make
+// bit-identical accept/reject decisions for any fixed seed
+// (tests/differential_test.cc pins AcceptedRepresentatives and
+// RejectedRepresentatives against this implementation).
 //
 // Only the fixed-representative insert path is implemented (the
 // Section 2.3 reservoir variant does not change which representatives are

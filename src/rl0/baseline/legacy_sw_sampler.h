@@ -10,7 +10,7 @@
 // core (core/sw_group_table.h flat index, arena-internal PromoteInto)
 // must make bit-identical sampling decisions; the differential tests in
 // tests/sw_pipeline_determinism_test.cc and tests/fuzz_robustness_test.cc
-// pin that, and bench/bench_window.cc measures the layout win.
+// pin that.
 //
 // Do not extend this code: it exists to stay equal to the seed behaviour.
 

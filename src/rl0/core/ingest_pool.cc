@@ -11,14 +11,13 @@ IngestPool::IngestPool(std::vector<Sink> sinks,
                        std::vector<StampedSink> stamped_sinks,
                        std::vector<WatermarkSink> watermark_sinks,
                        const Options& options)
-    : fleet_(options.fleet),
-      queue_capacity_(options.queue_capacity < 1 ? 1
-                                                 : options.queue_capacity),
-      fed_(options.index_base) {
+    : fleet_(options.fleet), fed_(options.index_base) {
   RL0_CHECK(!sinks.empty());
   RL0_CHECK(stamped_sinks.empty() || stamped_sinks.size() == sinks.size());
   RL0_CHECK(watermark_sinks.empty() ||
             watermark_sinks.size() == sinks.size());
+  const size_t queue_capacity =
+      options.queue_capacity < 1 ? 1 : options.queue_capacity;
   lanes_.reserve(sinks.size());
   for (size_t i = 0; i < sinks.size(); ++i) {
     StampedSink stamped =
@@ -26,7 +25,7 @@ IngestPool::IngestPool(std::vector<Sink> sinks,
     WatermarkSink watermark = watermark_sinks.empty()
                                   ? WatermarkSink()
                                   : std::move(watermark_sinks[i]);
-    lanes_.push_back(std::make_unique<Lane>(queue_capacity_,
+    lanes_.push_back(std::make_unique<Lane>(queue_capacity,
                                             std::move(sinks[i]),
                                             std::move(stamped),
                                             std::move(watermark)));
@@ -206,19 +205,6 @@ void IngestPool::FeedOwnedStamped(std::vector<Point> points,
   FeedChunk(std::move(chunk));
 }
 
-void IngestPool::FeedBorrowedStamped(Span<const Point> points,
-                                     Span<const int64_t> stamps) {
-  if (points.empty()) return;
-  RL0_CHECK(stamps.size() == points.size());
-  RL0_CHECK(lanes_[0]->stamped_sink != nullptr);
-  CheckStampsNonDecreasing(stamps);
-  Chunk chunk;
-  chunk.data = points.data();
-  chunk.size = points.size();
-  chunk.stamps = stamps.data();
-  FeedChunk(std::move(chunk));
-}
-
 void IngestPool::FeedWatermark(int64_t watermark) {
   RL0_CHECK(lanes_[0]->watermark_sink != nullptr);
   Chunk chunk;
@@ -302,15 +288,6 @@ int64_t IngestPool::latest_stamp() const {
 uint64_t IngestPool::points_fed() const {
   MutexLock lock(&feed_mu_);
   return fed_;
-}
-
-size_t IngestPool::MaxQueueDepth() const {
-  size_t depth = 0;
-  for (const std::unique_ptr<Lane>& lane : lanes_) {
-    const size_t lane_depth = lane->queue.size();
-    if (lane_depth > depth) depth = lane_depth;
-  }
-  return depth;
 }
 
 }  // namespace rl0

@@ -7,11 +7,9 @@
 // pool stream chunks via Feed; every chunk is stamped with its global
 // stream index base and broadcast to each lane's bounded queue, where the
 // lane's worker consumes it through a caller-supplied sink (for sharded
-// ingestion, the strided walk of the lane's residue class). This replaces
-// the spawn/join threads that ShardedSamplerPool::ConsumeParallel used to
-// create per call — thread startup is paid once per pool, not once per
-// chunk, and chunks pipeline through the lanes instead of barriering at
-// every call.
+// ingestion, the strided walk of the lane's residue class). Thread startup
+// is paid once per pool, not once per chunk, and chunks pipeline through
+// the lanes instead of barriering at every call.
 //
 // Determinism contract: chunk index bases are assigned atomically with
 // enqueue order under one feed lock, so every lane observes the same
@@ -152,11 +150,6 @@ class IngestPool {
   void FeedOwnedStamped(std::vector<Point> points,
                         std::vector<int64_t> stamps);
 
-  /// As FeedStamped but zero-copy: both arrays must stay valid until the
-  /// next Drain() (or Stop()) returns.
-  void FeedBorrowedStamped(Span<const Point> points,
-                           Span<const int64_t> stamps);
-
   /// Broadcasts a watermark control chunk (requires watermark sinks):
   /// every lane's WatermarkSink observes `watermark` after the chunks
   /// fed before this call. Must not regress the pool's stamp watermark,
@@ -185,9 +178,9 @@ class IngestPool {
   void Stop();
 
   /// Reserves the next `n` global stream indices without enqueuing
-  /// anything — lets a non-pipelined ingestion path (the legacy spawn/join
-  /// walk) interleave with pipelined feeding under one index space.
-  /// Returns the base of the reserved range.
+  /// anything — lets a serial insert that bypasses the lanes interleave
+  /// with pipelined feeding under one index space (see
+  /// F0EstimatorSW::Insert). Returns the base of the reserved range.
   uint64_t AdvanceIndexBase(uint64_t n);
 
   /// Raises the stamp watermark to `stamp` (no-op if already past it) —
@@ -202,16 +195,8 @@ class IngestPool {
   /// Points fed (or index-reserved) so far.
   uint64_t points_fed() const;
 
-  /// The deepest lane queue right now (chunks queued on the most
-  /// backlogged lane) — the adaptive chunk-sizing signal (see
-  /// core/chunk_policy.h). Safe from any thread; a racy snapshot.
-  size_t MaxQueueDepth() const;
-
   /// Number of lanes.
   size_t num_lanes() const { return lanes_.size(); }
-
-  /// Per-lane queue capacity.
-  size_t queue_capacity() const { return queue_capacity_; }
 
  private:
   struct Chunk {
@@ -264,7 +249,6 @@ class IngestPool {
 
   /// The shared fleet servicing the lanes (null = dedicated threads).
   WorkerFleet* fleet_ = nullptr;
-  const size_t queue_capacity_;
   /// Serializes index-base assignment with enqueue order (the determinism
   /// contract) and guards the feed-side counters below.
   mutable Mutex feed_mu_;

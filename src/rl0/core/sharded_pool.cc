@@ -1,7 +1,6 @@
 #include "rl0/core/sharded_pool.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "rl0/util/check.h"
@@ -16,21 +15,6 @@ namespace {
 /// under re-chunking (the determinism contract of the pipeline tests).
 size_t StrideStart(size_t s, size_t shards, uint64_t index_base) {
   return (s + shards - static_cast<size_t>(index_base % shards)) % shards;
-}
-
-/// The adaptive-chunk feed loop shared by both pools: chop `total`
-/// points into policy-sized chunks, report the pipeline's queue depth
-/// after each one. `feed(offset, n)` feeds the [offset, offset+n) slice.
-template <typename FeedFn>
-void FeedChunked(size_t total, AdaptiveChunkPolicy* policy,
-                 IngestPool* pipeline, FeedFn feed) {
-  size_t offset = 0;
-  while (offset < total) {
-    const size_t n = std::min(policy->chunk(), total - offset);
-    feed(offset, n);
-    offset += n;
-    policy->Observe(pipeline->MaxQueueDepth(), pipeline->queue_capacity());
-  }
 }
 
 }  // namespace
@@ -91,36 +75,12 @@ void ShardedSamplerPool::FeedBorrowed(Span<const Point> points) {
   pipeline_->FeedBorrowed(points);
 }
 
-void ShardedSamplerPool::FeedAdaptive(Span<const Point> points) {
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                pipeline_->Feed(points.subspan(offset, n));
-              });
-}
-
 void ShardedSamplerPool::Drain() { pipeline_->Drain(); }
 
 void ShardedSamplerPool::ConsumeParallel(Span<const Point> points) {
   // The span outlives the call because Drain is the last thing we do.
   FeedBorrowed(points);
   Drain();
-}
-
-void ShardedSamplerPool::ConsumeParallelSpawnJoin(Span<const Point> points) {
-  // Pre-pipeline behaviour: per-call thread spawn/join, chunk-relative
-  // residue classes. Quiesce the pipeline first and reserve this chunk's
-  // index range so both paths share one global index space.
-  pipeline_->Drain();
-  const uint64_t index_base = pipeline_->AdvanceIndexBase(points.size());
-  const size_t shards = shards_.size();
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    workers.emplace_back([this, points, s, shards, index_base] {
-      shards_[s].InsertStrided(points, s, shards, index_base);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
 }
 
 Result<RobustL0SamplerIW> ShardedSamplerPool::Merged() const {
@@ -297,13 +257,6 @@ void ShardedSwSamplerPool::FeedOwnedStamped(std::vector<Point> points,
   });
 }
 
-void ShardedSwSamplerPool::FeedBorrowedStamped(Span<const Point> points,
-                                               Span<const int64_t> stamps) {
-  LatchMode(StampMode::kTime);
-  FeedJournaled(points, stamps,
-                [&] { pipeline_->FeedBorrowedStamped(points, stamps); });
-}
-
 void ShardedSwSamplerPool::FeedStampedLate(Span<const Point> points,
                                            Span<const int64_t> stamps) {
   RL0_CHECK(stamps.size() == points.size());
@@ -386,29 +339,7 @@ ShardedSwSamplerPool::TakeLateSideChannel() {
   return fe->stage->TakeLate();
 }
 
-void ShardedSwSamplerPool::FeedAdaptive(Span<const Point> points) {
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                Feed(points.subspan(offset, n));
-              });
-}
-
-void ShardedSwSamplerPool::FeedStampedAdaptive(Span<const Point> points,
-                                               Span<const int64_t> stamps) {
-  RL0_CHECK(stamps.size() == points.size());
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                FeedStamped(points.subspan(offset, n),
-                            stamps.subspan(offset, n));
-              });
-}
-
 void ShardedSwSamplerPool::Drain() { pipeline_->Drain(); }
-
-void ShardedSwSamplerPool::ConsumeParallel(Span<const Point> points) {
-  FeedBorrowed(points);
-  Drain();
-}
 
 int64_t ShardedSwSamplerPool::now() const {
   if (mode_->load(std::memory_order_relaxed) ==

@@ -37,7 +37,6 @@
 
 #include <optional>
 
-#include "rl0/core/chunk_policy.h"
 #include "rl0/core/ingest_pool.h"
 #include "rl0/core/iw_sampler.h"
 #include "rl0/core/reorder_buffer.h"
@@ -80,17 +79,6 @@ class ShardedSamplerPool {
   /// Drain() returns.
   void FeedBorrowed(Span<const Point> points);
 
-  /// Chops `points` into chunks sized by the shared adaptive policy
-  /// (core/chunk_policy.h): queue depth grows the chunks, lane
-  /// starvation shrinks them. Chunk boundaries never affect shard state
-  /// (the determinism contract), so this is pure throughput tuning.
-  /// Copies each chunk; single producer per policy (see chunk_policy()).
-  void FeedAdaptive(Span<const Point> points);
-
-  /// The adaptive chunk-sizing policy used by FeedAdaptive (mutable: the
-  /// producer may reconfigure or share it across feeds).
-  AdaptiveChunkPolicy& chunk_policy() { return chunk_policy_; }
-
   /// Blocks until everything fed before this call is consumed by every
   /// shard. Safe from any thread, also concurrently with feeding.
   void Drain();
@@ -99,13 +87,6 @@ class ShardedSamplerPool {
   /// blocking call. Deterministic: the global-residue partition does not
   /// depend on thread scheduling or chunk boundaries.
   void ConsumeParallel(Span<const Point> points);
-
-  /// The pre-pipeline implementation: spawns one thread per shard, feeds
-  /// the chunk with chunk-relative striding, joins all workers before
-  /// returning. Kept as the bench_pipeline baseline and for differential
-  /// testing; shares the pipeline's global index space, so the two paths
-  /// may be interleaved (ConsumeParallelSpawnJoin drains first).
-  void ConsumeParallelSpawnJoin(Span<const Point> points);
 
   /// A merged sampler over the union of all shards' streams (copy of
   /// shard 0 absorbing the rest; see AbsorbFrom's guarantee). Requires a
@@ -152,7 +133,6 @@ class ShardedSamplerPool {
   std::vector<RobustL0SamplerIW> shards_;
   IngestPool::Options pipeline_options_;
   std::unique_ptr<IngestPool> pipeline_;
-  AdaptiveChunkPolicy chunk_policy_;
 };
 
 /// The windowed mode of the sharded pool: S sliding-window hierarchies
@@ -165,7 +145,7 @@ class ShardedSamplerPool {
 ///   * sequence-based (Feed/FeedOwned/FeedBorrowed) — every point is
 ///     stamped with its global position; the stamp of chunk[0] is
 ///     carried by the chunk's index base;
-///   * time-based (FeedStamped/FeedOwnedStamped/FeedBorrowedStamped) —
+///   * time-based (FeedStamped/FeedOwnedStamped) —
 ///     every point carries an explicit stamp from a parallel stamp
 ///     array that rides the chunk through the pipeline; stamps must be
 ///     non-decreasing in feed order (a point is live at query time
@@ -219,10 +199,6 @@ class ShardedSwSamplerPool {
   /// As FeedStamped but adopts both vectors — no copy.
   void FeedOwnedStamped(std::vector<Point> points,
                         std::vector<int64_t> stamps);
-  /// As FeedStamped but zero-copy: both arrays must stay valid until the
-  /// next Drain() returns.
-  void FeedBorrowedStamped(Span<const Point> points,
-                           Span<const int64_t> stamps);
 
   /// Bounded-lateness time-based feeding (core/reorder_buffer.h): the
   /// stamps may run backwards by up to options().allowed_lateness behind
@@ -263,21 +239,9 @@ class ShardedSwSamplerPool {
   /// with no sink set), in arrival order.
   std::vector<std::pair<Point, int64_t>> TakeLateSideChannel();
 
-  /// Adaptive-chunked feeding (see ShardedSamplerPool::FeedAdaptive and
-  /// core/chunk_policy.h); sequence mode.
-  void FeedAdaptive(Span<const Point> points);
-  /// Adaptive-chunked stamped feeding (time mode).
-  void FeedStampedAdaptive(Span<const Point> points,
-                           Span<const int64_t> stamps);
-  /// The adaptive chunk-sizing policy used by the adaptive feeds.
-  AdaptiveChunkPolicy& chunk_policy() { return chunk_policy_; }
-
   /// Blocks until everything fed before this call is consumed by every
   /// shard. Safe from any thread, also concurrently with feeding.
   void Drain();
-
-  /// Feeds `points` and drains (the blocking convenience call).
-  void ConsumeParallel(Span<const Point> points);
 
   /// The stamp of the most recently fed point — the global position of
   /// the stream's last point in sequence mode, the last explicit stamp in
@@ -416,7 +380,6 @@ class ShardedSwSamplerPool {
   std::unique_ptr<IngestPool> pipeline_;
   /// Heap-allocated so the pool stays movable.
   std::unique_ptr<std::atomic<uint8_t>> mode_;
-  AdaptiveChunkPolicy chunk_policy_;
   /// Bounded-lateness front end of FeedStampedLate: the reorder stage
   /// and watermark memory grouped with the mutex that serializes the
   /// late path — the Offer → release → watermark sequence must hit the

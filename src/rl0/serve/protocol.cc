@@ -68,11 +68,23 @@ std::string FormatSampleLine(const Point& point, uint64_t stream_index) {
   return point.ToString() + buf;
 }
 
-namespace {
-
 // Strict numeric parsing, mirroring stream/csv.cc: errno reset, full
 // token consumed, range-checked, and (for doubles) finite. Any deviation
 // is a parse error, never a silently-clamped value.
+
+bool ParseU64Token(const std::string& tok, uint64_t* out) {
+  // A leading digit also rules out the whitespace strtoull would skip.
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (end != tok.c_str() + tok.size()) return false;
+  if (errno == ERANGE) return false;
+  *out = static_cast<uint64_t>(v);
+  return true;
+}
+
+namespace {
 
 bool ParseDoubleToken(const std::string& tok, double* out) {
   if (tok.empty()) return false;
@@ -82,17 +94,6 @@ bool ParseDoubleToken(const std::string& tok, double* out) {
   if (end != tok.c_str() + tok.size()) return false;
   if (errno == ERANGE || !std::isfinite(v)) return false;
   *out = v;
-  return true;
-}
-
-bool ParseU64Token(const std::string& tok, uint64_t* out) {
-  if (tok.empty() || tok[0] == '-' || tok[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size()) return false;
-  if (errno == ERANGE) return false;
-  *out = static_cast<uint64_t>(v);
   return true;
 }
 
@@ -202,7 +203,7 @@ Result<Command> ParseCreate(const std::vector<std::string>& tokens) {
       }
       p.lateness = s;
     } else if (key == "shards") {
-      if (!ParseU64Token(value, &u) || u == 0 || u > 256) {
+      if (!ParseU64Token(value, &u) || u == 0 || u > kMaxShards) {
         return Err("CREATE: bad shards");
       }
       p.shards = static_cast<size_t>(u);

@@ -175,6 +175,15 @@ struct Command {
 /// allocation bounded independently of max_line_bytes).
 constexpr size_t kMaxPointsPerFeed = 65536;
 
+/// Maximum lanes of one pool, for CREATE shards= and rl0_cli --shards:
+/// every lane is a worker, so one request cannot ask for unboundedly many.
+constexpr size_t kMaxShards = 256;
+
+/// Strict unsigned decimal parsing, shared by the protocol's key=value
+/// options and rl0_cli's integer flags: the whole token must be digits
+/// (no sign, fraction, exponent or trailing junk) and fit in 64 bits.
+bool ParseU64Token(const std::string& tok, uint64_t* out);
+
 /// Tenant names: [A-Za-z0-9_.-]{1,64}, no leading '.' (names double as
 /// checkpoint directory components).
 bool ValidTenantName(const std::string& name);

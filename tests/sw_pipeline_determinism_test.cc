@@ -509,28 +509,6 @@ TEST(SwPipelineDeterminismTest, UnifiedQueryPoolDedupesAndPassesThrough) {
   }
 }
 
-TEST(SwPipelineDeterminismTest, AdaptiveFeedMatchesPointwise) {
-  // FeedAdaptive's chunk sizes depend on live queue depths (timing), so
-  // this pin is exactly the determinism contract: whatever chunking the
-  // policy produces, the one-lane pool equals the pointwise sampler.
-  const std::vector<Point> points = RevisitStream(2000, 80, 50);
-  const int64_t window = 199;
-  const SamplerOptions opts = BaseOptions(910);
-
-  auto pointwise = RobustL0SamplerSW::Create(opts, window).value();
-  for (const Point& p : points) pointwise.Insert(p);
-
-  auto pool = ShardedSwSamplerPool::Create(opts, window, 1).value();
-  AdaptiveChunkOptions chunk_opts;
-  chunk_opts.min_chunk = 16;
-  chunk_opts.initial_chunk = 64;
-  pool.chunk_policy() = AdaptiveChunkPolicy(chunk_opts);
-  pool.FeedAdaptive(points);
-  pool.Drain();
-  EXPECT_EQ(pool.points_processed(), points.size());
-  ExpectSameLevelState(pool.shard(0), pointwise);
-}
-
 /// Time-stamped exact-repeat traffic: 85% of the arrivals repeat one of
 /// `groups` centers byte for byte, the rest are near-duplicates of it;
 /// stamps are mostly dense but occasionally jump past whole windows (big

@@ -5,9 +5,15 @@
 # time, bounded-lateness), given the same sampler options, window,
 # shard count, seed and expected stream length (m=...).
 #
+# A fourth sequence-mode tenant runs at a seed above 2^53, which a
+# double cannot hold: both sides must parse it exactly.
+#
 # The only permitted divergence: the CLI's time-mode output appends
 # " stamp N" (it keeps the full stamp array; the server does not), so
 # that suffix is stripped from the CLI side before diffing.
+#
+# Last, rl0_cli must reject malformed integer flags with exit status 2
+# and an error naming the flag.
 #
 # Usage: tools/ci_serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -32,6 +38,7 @@ trap cleanup EXIT
 "$BUILD/rl0_cli" generate --dataset rand5 --seed 7 --time --lateness 50 \
   > "$TMP/late.csv"
 M=$(grep -vc '^#' "$TMP/seq.csv")
+BIG_SEED=9007199254740993  # 2^53 + 1
 echo "smoke: $M points per stream"
 
 "$BUILD/rl0_serve" --unix "$TMP/sock" --threads 4 \
@@ -50,8 +57,10 @@ client() { "$BUILD/rl0_client" --unix "$TMP/sock" "$@"; }
 client \
   "CREATE s dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=$M" \
   "CREATE t dim=5 alpha=0.5 window=4000 mode=time shards=4 seed=42 m=$M" \
-  "CREATE l dim=5 alpha=0.5 window=4000 mode=late lateness=50 shards=4 seed=42 m=$M"
+  "CREATE l dim=5 alpha=0.5 window=4000 mode=late lateness=50 shards=4 seed=42 m=$M" \
+  "CREATE big dim=5 alpha=0.5 window=2000 shards=4 seed=$BIG_SEED m=$M"
 client --feed-csv "$TMP/seq.csv" --tenant s --chunk 1000
+client --feed-csv "$TMP/seq.csv" --tenant big --chunk 1000
 client --feed-csv "$TMP/time.csv" --tenant t --stamped --chunk 1000
 client --feed-csv "$TMP/late.csv" --tenant l --stamped --lateness 50 \
   --chunk 1000
@@ -60,6 +69,8 @@ client "FLUSH l" > /dev/null
 client "SAMPLE s q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/s.server"
 client "SAMPLE t q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/t.server"
 client "SAMPLE l q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/l.server"
+client "SAMPLE big q=3 seed=$BIG_SEED" | sed -n 's/^ITEM //p' \
+  > "$TMP/big.server"
 
 "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 4 --seed 42 \
   --queries 3 "$TMP/seq.csv" 2> /dev/null > "$TMP/s.cli"
@@ -69,8 +80,10 @@ client "SAMPLE l q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/l.server"
 "$BUILD/rl0_cli" sample --alpha 0.5 --window 4000 --time --lateness 50 \
   --shards 4 --seed 42 --queries 3 "$TMP/late.csv" 2> /dev/null \
   | sed 's/ stamp -\{0,1\}[0-9]*$//' > "$TMP/l.cli"
+"$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 4 \
+  --seed "$BIG_SEED" --queries 3 "$TMP/seq.csv" 2> /dev/null > "$TMP/big.cli"
 
-for mode in s t l; do
+for mode in s t l big; do
   [[ -s "$TMP/$mode.server" ]] || {
     echo "smoke: mode $mode produced no samples" >&2; exit 1;
   }
@@ -136,5 +149,23 @@ for i in $(seq 20); do
     exit 1
   fi
 done
-echo "smoke: all three modes byte-identical to rl0_cli; recover OK;" \
-  "20 early SIGTERMs shut down in order"
+# Integer flags are exact: a malformed or out-of-range value is a usage
+# error (exit 2, naming the flag), never a silently truncated number.
+# (No --shards value above the cap here: a binary without the cap would
+# start that many workers.)
+for bad in "--shards abc" "--shards 0" "--shards -3" "--queries -2" \
+    "--seed 1.5"; do
+  status=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 $bad "$TMP/seq.csv" \
+    > /dev/null 2> "$TMP/bad.err" || status=$?
+  flag=${bad%% *}
+  if [[ $status -ne 2 ]] || ! grep -q -- "$flag" "$TMP/bad.err"; then
+    echo "smoke: rl0_cli $bad: exit $status, want 2 naming $flag" >&2
+    cat "$TMP/bad.err" >&2
+    exit 1
+  fi
+done
+echo "smoke: all three modes and a seed above 2^53 byte-identical to" \
+  "rl0_cli; recover OK; 20 early SIGTERMs shut down in order;" \
+  "bad integer flags rejected"

@@ -10,6 +10,8 @@
 // reads CSV point streams (one point per line; see rl0/stream/csv.h) from
 // a file or stdin ("-").
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +20,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rl0/baseline/exact_partition.h"
@@ -28,6 +31,7 @@
 #include "rl0/core/sharded_pool.h"
 #include "rl0/core/sw_sampler.h"
 #include "rl0/serve/checkpointer.h"
+#include "rl0/serve/protocol.h"
 #include "rl0/stream/csv.h"
 #include "rl0/stream/generators.h"
 #include "rl0/stream/neardup.h"
@@ -144,6 +148,20 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
       *out = argv[++i];
       return true;
     };
+    // Integer flags take exact decimal digits within [lo, hi], parsed as
+    // the server parses CREATE's options: no sign, fraction, exponent or
+    // trailing junk, and no rounding through a double.
+    const auto next_int = [&](uint64_t lo, uint64_t hi, auto* out) {
+      uint64_t v = 0;
+      if (i + 1 >= argc || !rl0::serve::ParseU64Token(argv[++i], &v) ||
+          v < lo || v > hi) {
+        *error = arg + " needs an integer in [" + std::to_string(lo) +
+                 ", " + std::to_string(hi) + "]";
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
+      return true;
+    };
     if (arg == "--alpha") {
       if (!next(&args->alpha)) {
         *error = "--alpha needs a value";
@@ -155,33 +173,13 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
         return false;
       }
     } else if (arg == "--seed") {
-      double v;
-      if (!next(&v)) {
-        *error = "--seed needs a value";
-        return false;
-      }
-      args->seed = static_cast<uint64_t>(v);
+      if (!next_int(0, UINT64_MAX, &args->seed)) return false;
     } else if (arg == "--k") {
-      double v;
-      if (!next(&v)) {
-        *error = "--k needs a value";
-        return false;
-      }
-      args->k = static_cast<size_t>(v);
+      if (!next_int(1, SIZE_MAX, &args->k)) return false;
     } else if (arg == "--window") {
-      double v;
-      if (!next(&v)) {
-        *error = "--window needs a value";
-        return false;
-      }
-      args->window = static_cast<int64_t>(v);
+      if (!next_int(0, INT64_MAX, &args->window)) return false;
     } else if (arg == "--queries") {
-      double v;
-      if (!next(&v)) {
-        *error = "--queries needs a value";
-        return false;
-      }
-      args->queries = static_cast<int>(v);
+      if (!next_int(1, INT_MAX, &args->queries)) return false;
     } else if (arg == "--metric") {
       if (!next_str(&args->metric)) {
         *error = "--metric needs a value";
@@ -198,45 +196,13 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
         return false;
       }
     } else if (arg == "--checkpoint-every") {
-      double v;
-      if (!next(&v)) {
-        *error = "--checkpoint-every needs a value";
-        return false;
-      }
-      if (!(v >= 1.0 && v <= 9e18)) {  // cast of a negative/huge double is UB
-        *error = "--checkpoint-every must be in [1, 9e18]";
-        return false;
-      }
-      args->checkpoint_every = static_cast<uint64_t>(v);
+      if (!next_int(1, UINT64_MAX, &args->checkpoint_every)) return false;
     } else if (arg == "--shards") {
-      double v;
-      if (!next(&v)) {
-        *error = "--shards needs a value";
-        return false;
-      }
-      args->shards = static_cast<size_t>(v);
+      if (!next_int(1, rl0::serve::kMaxShards, &args->shards)) return false;
     } else if (arg == "--lateness") {
-      double v;
-      if (!next(&v)) {
-        *error = "--lateness needs a value";
-        return false;
-      }
-      if (!(v >= 0.0 && v <= 9e18)) {  // cast of a negative/huge double is UB
-        *error = "--lateness must be in [0, 9e18]";
-        return false;
-      }
-      args->lateness = static_cast<int64_t>(v);
+      if (!next_int(0, INT64_MAX, &args->lateness)) return false;
     } else if (arg == "--max-gap") {
-      double v;
-      if (!next(&v)) {
-        *error = "--max-gap needs a value";
-        return false;
-      }
-      if (!(v >= 1.0 && v <= 1e9)) {  // cast of a negative/huge double is UB
-        *error = "--max-gap must be in [1, 1e9]";
-        return false;
-      }
-      args->max_gap = static_cast<uint32_t>(v);
+      if (!next_int(1, 1000000000, &args->max_gap)) return false;
     } else if (arg == "--time") {
       args->time = true;
     } else if (arg == "--no-filter") {
@@ -322,7 +288,7 @@ rl0::Result<rl0::Metric> ParseMetric(const std::string& name) {
 
 /// `sample --window W --time`: time-based windows over a stamped CSV
 /// stream (leading integer stamp column). Pointwise for one shard; the
-/// stamped pipeline chunks (adaptively sized) for several.
+/// stamped pipeline in fixed 4096-point chunks for several.
 int RunSampleTime(const Args& args, rl0::Metric metric) {
   if (args.window <= 0) return Fail("--time requires --window W > 0");
   rl0::Result<rl0::StampedCsv> stream =
@@ -398,15 +364,12 @@ int RunSampleTime(const Args& args, rl0::Metric metric) {
         if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
       }
       sw_pool.FlushLate();
-    } else if (ckpt) {
-      // Fixed chunks so checkpoint cuts land between feeds.
+    } else {
       for (size_t offset = 0; offset < all_points.size(); offset += chunk) {
         sw_pool.FeedStamped(all_points.subspan(offset, chunk),
                             all_stamps.subspan(offset, chunk));
-        if (!CheckpointOk(ckpt->MaybeCut())) return 2;
+        if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
       }
-    } else {
-      sw_pool.FeedStampedAdaptive(points, stamps);
     }
     sw_pool.Drain();
     if (ckpt && !CheckpointOk(ckpt->Finish())) return 2;
