@@ -28,87 +28,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "rl0/core/cell_index.h"
 #include "rl0/geom/point.h"
 #include "rl0/geom/point_store.h"
 
 namespace rl0 {
-
-/// Active CellIndex probe kernel: "avx2" or "scalar". Mirrors
-/// DistanceKernelDispatch(); benches record it next to machine facts.
-const char* CellIndexDispatch();
-
-/// Open-addressing hash table: cell key → head slot of the cell's rep
-/// chain. Linear probing with tombstones; grows at 70% occupancy.
-///
-/// Storage is structure-of-arrays (keys / heads / states in parallel
-/// vectors) so the probe loop can compare several buckets per step: the
-/// AVX2 path fingerprints four consecutive keys at once and resolves the
-/// first empty-or-matching position with a ctz, visiting positions in
-/// exactly the scalar probe order — decisions and probe order are
-/// unchanged, only the stride over memory differs. Runtime dispatch and
-/// the -DRL0_NO_SIMD escape hatch follow geom/distance_kernels.h.
-class CellIndex {
- public:
-  static constexpr uint32_t kNpos = ~uint32_t{0};
-
-  CellIndex();
-
-  /// Head slot of `key`'s chain, or kNpos.
-  uint32_t Find(uint64_t key) const;
-
-  /// Sets (inserting if absent) the head slot of `key`'s chain.
-  void SetHead(uint64_t key, uint32_t head);
-
-  /// Sets the head slot of `key`'s chain and returns the previous head
-  /// (kNpos if the key was absent) — SetHead and Find in one probe, the
-  /// push-front primitive of the rep chains.
-  uint32_t Upsert(uint64_t key, uint32_t head);
-
-  /// Removes `key` (no-op if absent).
-  void Erase(uint64_t key);
-
-  /// Prefetches the probe bucket for `key` into cache. The batch
-  /// ingestion paths issue this one stream element ahead, overlapping the
-  /// bucket's memory latency with the current element's distance work.
-  void Prefetch(uint64_t key) const {
-#if defined(__GNUC__)
-    const size_t i = BucketFor(key);
-    __builtin_prefetch(&keys_[i]);
-    __builtin_prefetch(&states_[i]);
-#endif
-  }
-
-  /// Calls fn(key, head) for every present key, in unspecified order
-  /// (compaction rebuild support).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (states_[i] == kFull) fn(keys_[i], heads_[i]);
-    }
-  }
-
-  /// Number of distinct keys present.
-  size_t live() const { return live_; }
-
- private:
-  enum : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
-
-  size_t BucketFor(uint64_t key) const {
-    // Keys are already mixed (grid/cell.h); a multiplicative spread keeps
-    // linear probing clusters short even for adversarial key sets.
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
-  void Grow();
-  uint32_t FindScalar(uint64_t key) const;
-  uint32_t FindAvx2(uint64_t key) const;  // defined only on the x86 build
-
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> heads_;
-  std::vector<uint8_t> states_;
-  uint32_t shift_;   // 64 - log2(keys_.size())
-  size_t live_ = 0;  // kFull buckets
-  size_t used_ = 0;  // kFull + kTombstone buckets
-};
 
 /// SoA table of representatives with arena-backed points and a flat cell
 /// index. Copyable (all columns are value vectors).

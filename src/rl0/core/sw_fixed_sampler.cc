@@ -11,7 +11,8 @@ namespace rl0 {
 SwFixedRateSampler::SwFixedRateSampler(const SamplerContext* ctx,
                                        uint32_t level, int64_t window,
                                        uint64_t* id_counter,
-                                       PointStore* store)
+                                       PointStore* store,
+                                       SwCellDirectory* directory)
     : ctx_(ctx), store_(store), level_(level), window_(window),
       id_counter_(id_counter) {
   RL0_CHECK(ctx != nullptr);
@@ -22,7 +23,7 @@ SwFixedRateSampler::SwFixedRateSampler(const SamplerContext* ctx,
     owned_store_ = std::make_unique<PointStore>(ctx_->options.dim);
     store_ = owned_store_.get();
   }
-  table_.Bind(store_);
+  table_.Bind(store_, directory, level_);
 }
 
 Result<std::unique_ptr<SwFixedRateSampler>>
@@ -125,10 +126,11 @@ uint32_t SwFixedRateSampler::FindCandidate(
   return SwGroupTable::kNpos;
 }
 
-InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p) {
-  Expire(p.stamp);
-
-  const uint32_t candidate = FindCandidate(*p.point, *p.adj_keys);
+InsertOutcome SwFixedRateSampler::InsertExpired(const PreparedPoint& p,
+                                                bool may_match) {
+  const uint32_t candidate = may_match
+                                 ? FindCandidate(*p.point, *p.adj_keys)
+                                 : SwGroupTable::kNpos;
   if (candidate != SwGroupTable::kNpos) {
     // Same group as a tracked representative: refresh its latest point
     // (Algorithm 2 line 6: A ← (u,p) ∪ A \ (u,·)).
@@ -141,18 +143,10 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p) {
   }
 
   // First point of a group in this window: judge it by its own cell first
-  // (accept), then by the neighborhood (reject), else ignore.
-  const bool accepted = ctx_->hasher.SampledAtLevel(p.cell_key, level_);
-  bool rejected = false;
-  if (!accepted) {
-    for (uint64_t key : *p.adj_keys) {
-      if (ctx_->hasher.SampledAtLevel(key, level_)) {
-        rejected = true;
-        break;
-      }
-    }
-    if (!rejected) return InsertOutcome::kIgnored;
-  }
+  // (accept), then by the neighborhood (reject), else ignore. By
+  // nestedness a cell is sampled here iff this level is within its depth.
+  if (level_ > p.adj_depth) return InsertOutcome::kIgnored;
+  const bool accepted = level_ <= p.cell_depth;
 
   const uint64_t id = (*id_counter_)++;
   const uint32_t slot = table_.Add(id, *p.point, p.stream_index, p.cell_key,
@@ -168,14 +162,8 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p) {
 
 bool SwFixedRateSampler::Insert(const Point& p, int64_t stamp) {
   RL0_DCHECK(p.dim() == ctx_->options.dim);
-  PreparedPoint prep;
-  prep.point = &p;
-  prep.stamp = stamp;
-  prep.stream_index = static_cast<uint64_t>(stamp);
-  prep.cell_key = ctx_->grid.AdjacentCellsWithBase(p, ctx_->options.alpha,
-                                                   &adj_scratch_);
-  prep.adj_keys = &adj_scratch_;
-  return Insert(prep);
+  return Insert(ctx_->Prepare(p, stamp, static_cast<uint64_t>(stamp),
+                              &adj_scratch_));
 }
 
 void SwFixedRateSampler::Expire(int64_t now) {

@@ -88,21 +88,34 @@ enum class InsertOutcome {
 /// Fixed-rate sliding-window sampler (Algorithm 2).
 class SwFixedRateSampler {
  public:
-  /// Non-owning constructor: `ctx` and `store` must outlive the sampler;
-  /// `id_counter` issues group ids unique across all levels of a
-  /// hierarchy. A null `store` gives the sampler a private arena.
+  /// Non-owning constructor: `ctx`, `store` and `directory` must outlive
+  /// the sampler; `id_counter` issues group ids unique across all levels
+  /// of a hierarchy. A null `store` gives the sampler a private arena; a
+  /// non-null `directory` is the hierarchy's cell directory, which this
+  /// level keeps current (see SwCellDirectory).
   SwFixedRateSampler(const SamplerContext* ctx, uint32_t level,
                      int64_t window, uint64_t* id_counter,
-                     PointStore* store = nullptr);
+                     PointStore* store = nullptr,
+                     SwCellDirectory* directory = nullptr);
 
   /// Standalone factory owning its context and arena (single-level use,
   /// tests).
   static Result<std::unique_ptr<SwFixedRateSampler>> CreateStandalone(
       const SamplerOptions& options, uint32_t level, int64_t window);
 
-  /// Feeds a prepared point. Expires dead groups first. Reports whether
-  /// the point was recorded, and into which class (see InsertOutcome).
-  InsertOutcome InsertPrepared(const PreparedPoint& p);
+  /// Feeds a prepared point (SamplerContext::Prepare). Expires dead
+  /// groups first. Reports whether the point was recorded, and into which
+  /// class (see InsertOutcome).
+  InsertOutcome InsertPrepared(const PreparedPoint& p) {
+    Expire(p.stamp);
+    return InsertExpired(p, /*may_match=*/true);
+  }
+
+  /// InsertPrepared for a caller that has just run Expire(p.stamp).
+  /// `may_match` false promises that no group of this level has its
+  /// representative in adj(p) — the hierarchy reads that off its cell
+  /// directory — and skips the candidate probe.
+  InsertOutcome InsertExpired(const PreparedPoint& p, bool may_match);
 
   /// Feeds a prepared point; true iff it was recorded at all (updated an
   /// existing pair or became a new accepted/rejected representative).
@@ -118,14 +131,6 @@ class SwFixedRateSampler {
   /// than the window, a post-promotion Reset) leave mostly-dead slot
   /// columns behind; those compact via SwGroupTable::MaybeCompact.
   void Expire(int64_t now);
-
-  /// Prefetches the cell bucket of `key` in this level's group table
-  /// (the hierarchy's batch paths issue this one stream element ahead).
-  void PrefetchCell(uint64_t key) const { table_.PrefetchCell(key); }
-
-  /// Whether the prefetch is worth its CellKeyOf cost at this level (see
-  /// SwGroupTable::PrefetchPays).
-  bool PrefetchPays() const { return table_.PrefetchPays(); }
 
   /// Clears all tracked groups (the hierarchy's pruning step).
   void Reset();

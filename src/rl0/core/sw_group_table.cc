@@ -18,7 +18,9 @@ uint32_t SwGroupTable::AllocateSlot() {
     free_slots_.pop_back();
     return slot;
   }
+  if (reuse_next_ < flags_.size()) return reuse_next_++;
   RL0_CHECK(flags_.size() < kNpos);
+  ++reuse_next_;
   const uint32_t slot = static_cast<uint32_t>(flags_.size());
   id_.push_back(0);
   rep_.push_back(PointRef{});
@@ -39,6 +41,9 @@ uint32_t SwGroupTable::AllocateSlot() {
 
 void SwGroupTable::LinkCell(uint32_t slot) {
   next_in_cell_[slot] = cell_index_.Upsert(rep_cell_[slot], slot);
+  if (next_in_cell_[slot] == kNpos && directory_ != nullptr) {
+    directory_->Link(rep_cell_[slot], level_);
+  }
 }
 
 void SwGroupTable::UnlinkCell(uint32_t slot) {
@@ -49,6 +54,7 @@ void SwGroupTable::UnlinkCell(uint32_t slot) {
     const uint32_t next = next_in_cell_[slot];
     if (next == kNpos) {
       cell_index_.Erase(key);
+      if (directory_ != nullptr) directory_->Unlink(key, level_);
     } else {
       cell_index_.SetHead(key, next);
     }
@@ -269,35 +275,44 @@ void SwGroupTable::Compact() {
   stamp_next_.resize(packed_count);
   dirty_epoch_.resize(packed_count);
   free_slots_.clear();
+  reuse_next_ = packed_count;
 
-  cell_index_ = CellIndex();
+  // Same keys, remapped heads: the directory is unaffected.
+  cell_index_.Clear();
   for (const auto& entry : heads) {
     cell_index_.SetHead(entry.first, entry.second);
   }
 }
 
 void SwGroupTable::Clear() {
-  for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
-    if (!IsLive(slot)) continue;
-    store_->Release(rep_[slot]);
-    store_->Release(latest_[slot]);
-    reservoir_[slot].ReleaseAll();
-    flags_[slot] = 0;
-    next_in_cell_[slot] = kNpos;
-    stamp_prev_[slot] = kNpos;
-    stamp_next_[slot] = kNpos;
+  if (live_ > 0) {
+    if (directory_ != nullptr) {
+      cell_index_.ForEach([this](uint64_t key, uint32_t /*head*/) {
+        directory_->Unlink(key, level_);
+      });
+    }
+    for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
+      if (!IsLive(slot)) continue;
+      store_->Release(rep_[slot]);
+      store_->Release(latest_[slot]);
+      reservoir_[slot].ReleaseAll();
+      flags_[slot] = 0;
+      next_in_cell_[slot] = kNpos;
+      stamp_prev_[slot] = kNpos;
+      stamp_next_[slot] = kNpos;
+    }
+    stamp_head_ = kNpos;
+    stamp_tail_ = kNpos;
+    live_ = 0;
   }
-  cell_index_ = CellIndex();
-  stamp_head_ = kNpos;
-  stamp_tail_ = kNpos;
+  // An empty table's slots are all dead with their links already reset
+  // (Remove/Extract reset them), so only the index and the recycling
+  // order remain. Dead slots stay allocated (capacity tracks the peak
+  // population, the accounting model of util/space.h) and are reused in
+  // slot order.
+  cell_index_.Clear();
   free_slots_.clear();
-  live_ = 0;
-  // Dead slots stay allocated (capacity tracks the peak population, the
-  // accounting model of util/space.h); reset the free list to reuse them
-  // in slot order.
-  for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
-    free_slots_.push_back(static_cast<uint32_t>(flags_.size()) - 1 - slot);
-  }
+  reuse_next_ = 0;
 }
 
 }  // namespace rl0

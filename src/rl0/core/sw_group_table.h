@@ -22,6 +22,13 @@
 // No operation allocates per entry: the columns grow to the peak live
 // population and everything else is slot surgery.
 //
+// The levels of one hierarchy also share a SwCellDirectory: for every
+// cell, the set of levels whose table holds a group with its
+// representative there. Each table keeps its own bit exact as a cell
+// chain gains its first or loses its last group, so the hierarchy can
+// tell from one lookup per adjacent cell which levels a probe could
+// match at all (see RobustL0SamplerSW::InsertStamped).
+//
 // Ownership: the table owns its groups' arena slots and reservoirs and
 // releases them on Remove/Clear/destruction. Extract/AdoptMoved transfer
 // that ownership between tables sharing one PointStore without touching
@@ -32,14 +39,61 @@
 #define RL0_CORE_SW_GROUP_TABLE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "rl0/core/rep_table.h"
+#include "rl0/core/cell_index.h"
 #include "rl0/core/windowed_reservoir.h"
 #include "rl0/geom/point_store.h"
 #include "rl0/util/check.h"
 
 namespace rl0 {
+
+/// A hierarchy's cross-level cell directory: cell key → bitmask of the
+/// levels whose SwGroupTable holds a live group with its representative
+/// in that cell (bit ℓ for level ℓ; levels never exceed
+/// CellHasher::kMaxLevel = 60, so 64 bits cover every legal hierarchy).
+/// Keys with an empty mask are erased. Maintained by the tables bound to
+/// it; not part of the space model (it indexes state the tables already
+/// charge for).
+class SwCellDirectory {
+ public:
+  /// The levels holding a group in cell `key` (0 if none).
+  uint64_t Levels(uint64_t key) const { return index_.Find(key); }
+
+  /// The OR of Levels over `keys`.
+  uint64_t LevelsOver(const std::vector<uint64_t>& keys) const {
+    uint64_t levels = 0;
+    for (const uint64_t key : keys) levels |= index_.Find(key);
+    return levels;
+  }
+
+  /// Calls fn(key, levels) for every cell, in unspecified order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    index_.ForEach(std::forward<Fn>(fn));
+  }
+
+ private:
+  friend class SwGroupTable;
+
+  /// `level` gained its first group in cell `key`.
+  void Link(uint64_t key, uint32_t level) {
+    uint64_t& levels = index_.FindOrInsert(key);
+    RL0_DCHECK((levels >> level & 1) == 0);
+    levels |= uint64_t{1} << level;
+  }
+
+  /// `level` lost its last group in cell `key`.
+  void Unlink(uint64_t key, uint32_t level) {
+    uint64_t& levels = index_.FindOrInsert(key);
+    RL0_DCHECK((levels >> level & 1) != 0);
+    levels &= ~(uint64_t{1} << level);
+    if (levels == 0) index_.Erase(key);
+  }
+
+  BasicCellIndex<uint64_t, 0> index_;
+};
 
 /// SoA table of sliding-window groups with a flat cell index and an
 /// intrusive stamp-ordered expiry list. Move-only (owns arena slots).
@@ -63,17 +117,28 @@ class SwGroupTable {
   };
 
   SwGroupTable() = default;
-  ~SwGroupTable() { Clear(); }
+  /// Releases the groups' arena slots. Leaves the directory alone: a
+  /// table dies with its hierarchy, directory included.
+  ~SwGroupTable() {
+    directory_ = nullptr;
+    Clear();
+  }
 
   SwGroupTable(SwGroupTable&&) = default;
   SwGroupTable& operator=(SwGroupTable&&) = default;
   SwGroupTable(const SwGroupTable&) = delete;
   SwGroupTable& operator=(const SwGroupTable&) = delete;
 
-  /// Binds the arena. Must be called once, before any insertion.
-  void Bind(PointStore* store) {
+  /// Binds the arena and, for a level of a hierarchy, the hierarchy's
+  /// cell directory with this table's level (a null `directory` keeps
+  /// none). Must be called once, before any insertion.
+  void Bind(PointStore* store, SwCellDirectory* directory = nullptr,
+            uint32_t level = 0) {
     RL0_DCHECK(store_ == nullptr && live_ == 0);
+    RL0_DCHECK(level < 64);
     store_ = store;
+    directory_ = directory;
+    level_ = level;
   }
 
   // ----------------------------------------------------------- lifecycle
@@ -104,7 +169,8 @@ class SwGroupTable {
   uint32_t AdoptMoved(MovedGroup&& g);
 
   /// Releases every group and empties the table (the hierarchy's pruning
-  /// step). Keeps column capacity.
+  /// step). Keeps column capacity. On a table that holds no group it
+  /// neither walks the columns nor allocates.
   void Clear();
 
   /// Compacts the slot columns: live groups move down to [0, live()),
@@ -122,16 +188,6 @@ class SwGroupTable {
   /// big enough to matter (expiry waves after a stream gap are the usual
   /// trigger). Returns whether it ran.
   bool MaybeCompact();
-
-  /// Prefetches the CellIndex bucket of `key` (batch-ingestion paths
-  /// issue this one stream element ahead).
-  void PrefetchCell(uint64_t key) const { cell_index_.Prefetch(key); }
-
-  /// True when the cell index is populated enough for a cold bucket load
-  /// to be plausible (same gate as RepTable::PrefetchPays).
-  bool PrefetchPays() const {
-    return cell_index_.live() >= RepTable::kPrefetchMinCells;
-  }
 
   // ------------------------------------------------------------- queries
 
@@ -197,6 +253,8 @@ class SwGroupTable {
   void UnlinkStamp(uint32_t slot);
 
   PointStore* store_ = nullptr;
+  SwCellDirectory* directory_ = nullptr;
+  uint32_t level_ = 0;
   CellIndex cell_index_;
 
   std::vector<uint64_t> id_;
@@ -220,7 +278,11 @@ class SwGroupTable {
 
   uint32_t stamp_head_ = kNpos;
   uint32_t stamp_tail_ = kNpos;
+  // Slots are recycled LIFO from free_slots_, then in ascending order
+  // from [reuse_next_, slot_count()) — the dead slots a Clear left behind
+  // (reuse_next_ == slot_count() when there are none).
   std::vector<uint32_t> free_slots_;
+  uint32_t reuse_next_ = 0;
   size_t live_ = 0;
 };
 

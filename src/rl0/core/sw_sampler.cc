@@ -25,13 +25,15 @@ RobustL0SamplerSW::RobustL0SamplerSW(const SamplerOptions& options,
     : ctx_(std::make_unique<SamplerContext>(options)),
       id_counter_(std::make_unique<uint64_t>(0)),
       store_(std::make_unique<PointStore>(options.dim)),
+      directory_(std::make_unique<SwCellDirectory>()),
       window_(window),
       accept_cap_(options.EffectiveAcceptCap()) {
   const uint32_t L = CeilLog2(static_cast<uint64_t>(window));
   levels_.reserve(L + 1);
   for (uint32_t l = 0; l <= L; ++l) {
     levels_.push_back(std::make_unique<SwFixedRateSampler>(
-        ctx_.get(), l, window, id_counter_.get(), store_.get()));
+        ctx_.get(), l, window, id_counter_.get(), store_.get(),
+        directory_.get()));
   }
   UpdateMeters();
 }
@@ -47,23 +49,7 @@ void RobustL0SamplerSW::InsertGlobal(const Point& p, uint64_t global_index) {
 void RobustL0SamplerSW::InsertStrided(Span<const Point> points, size_t start,
                                       size_t stride, uint64_t index_base) {
   RL0_DCHECK(stride > 0);
-  const size_t n = points.size();
-  // Gate decided once per chunk (the prefetch costs a CellKeyOf per
-  // element and only pays on out-of-cache indexes); the common loop
-  // stays free of the hint entirely.
-  if (levels_.back()->PrefetchPays()) {
-    for (size_t i = start; i < n; i += stride) {
-      if (i + stride < n) {
-        // Warm the first bucket the next element will probe (the top
-        // level is fed first in the Algorithm 3 descent).
-        levels_.back()->PrefetchCell(
-            ctx_->grid.CellKeyOf(points[i + stride]));
-      }
-      InsertGlobal(points[i], index_base + i);
-    }
-    return;
-  }
-  for (size_t i = start; i < n; i += stride) {
+  for (size_t i = start; i < points.size(); i += stride) {
     InsertGlobal(points[i], index_base + i);
   }
 }
@@ -74,20 +60,7 @@ void RobustL0SamplerSW::InsertStridedStamped(Span<const Point> points,
                                              uint64_t index_base) {
   RL0_DCHECK(stride > 0);
   RL0_DCHECK(stamps.size() == points.size());
-  const size_t n = points.size();
-  // Same chunk-level prefetch gate as InsertStrided: warm the next
-  // element's top-level cell bucket while this one inserts.
-  if (levels_.back()->PrefetchPays()) {
-    for (size_t i = start; i < n; i += stride) {
-      if (i + stride < n) {
-        levels_.back()->PrefetchCell(
-            ctx_->grid.CellKeyOf(points[i + stride]));
-      }
-      InsertStamped(points[i], stamps[i], index_base + i);
-    }
-    return;
-  }
-  for (size_t i = start; i < n; i += stride) {
+  for (size_t i = start; i < points.size(); i += stride) {
     InsertStamped(points[i], stamps[i], index_base + i);
   }
 }
@@ -99,14 +72,15 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   latest_stamp_ = stamp;
   ++points_processed_;
 
-  PreparedPoint prep;
-  prep.point = &p;
-  prep.stamp = stamp;
-  prep.stream_index = stream_index;
-  // Fused pass: the adjacency search also yields cell(p)'s key.
-  prep.cell_key = ctx_->grid.AdjacentCellsWithBase(p, ctx_->options.alpha,
-                                                   &adj_scratch_);
-  prep.adj_keys = &adj_scratch_;
+  const PreparedPoint prep =
+      ctx_->Prepare(p, stamp, stream_index, &adj_scratch_);
+  // The levels where a tracked group's representative lies in adj(p):
+  // the only ones whose candidate probe can match. Every other level gets
+  // no probe, and above adj_depth (where no cell of adj(p) is sampled) it
+  // ignores p outright. The set is read before this arrival's expiry, so
+  // it can only over-state a level; every level the descent passes is
+  // still expired exactly as a full probe would expire it.
+  const uint64_t holding = directory_->LevelsOver(adj_scratch_);
 
   // Algorithm 3 lines 5-18: feed top-down and stop at the highest level
   // that records p in its *accept* set ("accept it at the highest level ℓ
@@ -116,11 +90,14 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   // must not stop the descent: the newest point has to end up accepted at
   // some level, or Lemma 2.10's non-emptiness guarantee would fail.
   for (size_t l = levels_.size(); l-- > 0;) {
-    if (levels_[l]->InsertPrepared(prep) != InsertOutcome::kAccepted) {
+    SwFixedRateSampler& level = *levels_[l];
+    level.Expire(stamp);
+    const bool may_match = (holding >> l & 1) != 0;
+    if (level.InsertExpired(prep, may_match) != InsertOutcome::kAccepted) {
       continue;
     }
     for (size_t j = 0; j < l; ++j) levels_[j]->Reset();
-    if (levels_[l]->accept_size() > accept_cap_) Cascade(l);
+    if (level.accept_size() > accept_cap_) Cascade(l);
     break;
     // Level 0 samples every cell and has no tracked rejected groups, so
     // the loop always accepts somewhere.
@@ -133,16 +110,6 @@ void RobustL0SamplerSW::Insert(const Point& p) {
 }
 
 void RobustL0SamplerSW::InsertBatch(Span<const Point> points) {
-  const size_t n = points.size();
-  if (levels_.back()->PrefetchPays()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) {
-        levels_.back()->PrefetchCell(ctx_->grid.CellKeyOf(points[i + 1]));
-      }
-      Insert(points[i], static_cast<int64_t>(points_processed_));
-    }
-    return;
-  }
   for (const Point& p : points) {
     Insert(p, static_cast<int64_t>(points_processed_));
   }

@@ -201,6 +201,8 @@ class RobustL0SamplerSW {
   size_t num_levels() const { return levels_.size(); }
   /// Read access to a level (tests/instrumentation).
   const SwFixedRateSampler& level(size_t i) const { return *levels_[i]; }
+  /// The cross-level cell directory (tests/instrumentation).
+  const SwCellDirectory& directory() const { return *directory_; }
   /// The window width.
   int64_t window() const { return window_; }
   /// Points processed so far.
@@ -257,6 +259,9 @@ class RobustL0SamplerSW {
   std::unique_ptr<uint64_t> id_counter_;
   /// One arena for every level's points (stable address: levels hold it).
   std::unique_ptr<PointStore> store_;
+  /// Which levels hold a group in which cell (stable address: levels
+  /// keep it current).
+  std::unique_ptr<SwCellDirectory> directory_;
   std::vector<std::unique_ptr<SwFixedRateSampler>> levels_;
   int64_t window_;
   size_t accept_cap_;

@@ -38,4 +38,11 @@ bool CellHasher::SampledAtLevel(uint64_t cell_key, uint32_t level) const {
   return (Hash(cell_key) & mask) == 0;
 }
 
+uint32_t CellHasher::Depth(uint64_t cell_key) const {
+  const uint64_t h = Hash(cell_key);
+  if (h == 0) return kMaxLevel;  // h mod 2^l = 0 at every level
+  const uint32_t zeros = static_cast<uint32_t>(__builtin_ctzll(h));
+  return zeros < kMaxLevel ? zeros : kMaxLevel;
+}
+
 }  // namespace rl0

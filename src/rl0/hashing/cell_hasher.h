@@ -52,6 +52,12 @@ class CellHasher {
   /// SampledAtLevel(k, l+1) implies SampledAtLevel(k, l).
   bool SampledAtLevel(uint64_t cell_key, uint32_t level) const;
 
+  /// The deepest level that samples the cell: the number of trailing
+  /// zero bits of h(key), capped at kMaxLevel. Nestedness in one number:
+  /// SampledAtLevel(k, l) ⇔ l ≤ Depth(k) for every l ≤ kMaxLevel, so one
+  /// hash settles the sampling test at every level of a hierarchy.
+  uint32_t Depth(uint64_t cell_key) const;
+
   /// The family backing this hasher.
   HashFamily family() const { return family_; }
 

@@ -84,8 +84,6 @@ bool ParseU64Token(const std::string& tok, uint64_t* out) {
   return true;
 }
 
-namespace {
-
 bool ParseDoubleToken(const std::string& tok, double* out) {
   if (tok.empty()) return false;
   errno = 0;
@@ -96,6 +94,8 @@ bool ParseDoubleToken(const std::string& tok, double* out) {
   *out = v;
   return true;
 }
+
+namespace {
 
 bool ParseI64Token(const std::string& tok, int64_t* out) {
   if (tok.empty() || tok[0] == '+') return false;

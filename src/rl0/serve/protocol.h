@@ -184,6 +184,12 @@ constexpr size_t kMaxShards = 256;
 /// (no sign, fraction, exponent or trailing junk) and fit in 64 bits.
 bool ParseU64Token(const std::string& tok, uint64_t* out);
 
+/// Strict floating-point parsing, shared by the protocol's real-valued
+/// options and rl0_cli's --alpha/--epsilon: the whole token must parse
+/// (no trailing junk), and the value must be finite and within double
+/// range (no overflow or underflow).
+bool ParseDoubleToken(const std::string& tok, double* out);
+
 /// Tenant names: [A-Za-z0-9_.-]{1,64}, no leading '.' (names double as
 /// checkpoint directory components).
 bool ValidTenantName(const std::string& name);

@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rl0/core/rep_table.h"
+#include "rl0/core/cell_index.h"
 #include "rl0/util/rng.h"
 
 namespace rl0 {
@@ -113,6 +113,57 @@ TEST(CellIndexSimdTest, TombstoneHeavyProbeChainsStayCorrect) {
   for (uint64_t k = 0; k < kKeys; ++k) {
     EXPECT_EQ(index.Find(k), static_cast<uint32_t>(k + 7)) << "key " << k;
   }
+}
+
+TEST(CellIndexSimdTest, NeverFilledIndexAnswersWithoutBuckets) {
+  // A new index holds no buckets until its first insertion; every read
+  // and Erase must work on it as on an empty table.
+  CellIndex index;
+  for (const uint64_t key : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
+    EXPECT_EQ(index.Find(key), CellIndex::kNpos);
+    index.Prefetch(key);
+    index.Erase(key);
+  }
+  size_t visited = 0;
+  index.ForEach([&](uint64_t, uint32_t) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(index.live(), 0u);
+  // The first insertion allocates; the table then behaves normally.
+  EXPECT_EQ(index.Upsert(42, 7), CellIndex::kNpos);
+  EXPECT_EQ(index.Find(42), 7u);
+  EXPECT_EQ(index.live(), 1u);
+}
+
+TEST(CellIndexSimdTest, ClearEmptiesSmallAndGrownTables) {
+  for (const uint64_t keys : {uint64_t{5}, uint64_t{300}}) {
+    CellIndex index;
+    for (uint64_t k = 0; k < keys; ++k) index.SetHead(k, 1);
+    index.Clear();
+    EXPECT_EQ(index.live(), 0u);
+    for (uint64_t k = 0; k < keys; ++k) {
+      EXPECT_EQ(index.Find(k), CellIndex::kNpos) << "key " << k;
+    }
+    size_t visited = 0;
+    index.ForEach([&](uint64_t, uint32_t) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    for (uint64_t k = 0; k < keys; ++k) index.SetHead(k, 2);
+    EXPECT_EQ(index.live(), keys);
+    EXPECT_EQ(index.Find(keys - 1), 2u);
+  }
+}
+
+TEST(CellIndexSimdTest, WideValuesUseZeroAsAbsent) {
+  // The sliding-window cell directory's map: 64-bit level masks with 0
+  // for "no entry"; FindOrInsert hands out a zero to OR bits into.
+  BasicCellIndex<uint64_t, 0> masks;
+  EXPECT_EQ(masks.Find(9), 0u);
+  masks.FindOrInsert(9) |= uint64_t{1} << 63;
+  masks.FindOrInsert(9) |= 1;
+  EXPECT_EQ(masks.Find(9), (uint64_t{1} << 63) | 1);
+  EXPECT_EQ(masks.live(), 1u);
+  masks.Erase(9);
+  EXPECT_EQ(masks.Find(9), 0u);
+  EXPECT_EQ(masks.live(), 0u);
 }
 
 }  // namespace

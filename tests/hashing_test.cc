@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "rl0/hashing/cell_hasher.h"
 #include "rl0/hashing/kwise_hash.h"
 #include "rl0/hashing/mix_hash.h"
+#include "rl0/util/rng.h"
 
 namespace rl0 {
 namespace {
@@ -156,6 +158,63 @@ TEST_P(CellHasherFamilyTest, DeterministicAcrossInstances) {
   for (uint64_t key = 0; key < 100; ++key) {
     EXPECT_EQ(a.Hash(key), b.Hash(key));
     EXPECT_EQ(a.SampledAtLevel(key, 5), b.SampledAtLevel(key, 5));
+  }
+}
+
+TEST_P(CellHasherFamilyTest, DepthMatchesSampledAtEveryLevel) {
+  // Depth(k) is the whole nested hierarchy in one number: sampled at
+  // level l ⇔ l ≤ Depth(k), for every level up to kMaxLevel.
+  CellHasher hasher(GetParam(), 2718);
+  Xoshiro256pp rng(SplitMix64(31415));
+  uint64_t mismatches = 0;
+  uint32_t deepest = 0;
+  for (uint64_t i = 0; i < 100000; ++i) {
+    // Dense small keys and full-width random ones.
+    const uint64_t key = (i & 1) != 0 ? i : rng();
+    const uint32_t depth = hasher.Depth(key);
+    ASSERT_LE(depth, CellHasher::kMaxLevel);
+    deepest = std::max(deepest, depth);
+    for (uint32_t level = 0; level <= CellHasher::kMaxLevel; ++level) {
+      mismatches += hasher.SampledAtLevel(key, level) != (level <= depth);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(deepest, 12u);  // ~log2(1e5) levels are reached
+}
+
+/// A key whose degree-1 polynomial hash (kwise_k = 2) is `target`:
+/// h(x) = c0 + c1·x mod p gives x = (target − c0) / c1 mod p.
+uint64_t KeyWithPolyHash(const CellHasher& hasher, uint64_t target) {
+  const uint64_t c0 = hasher.Hash(0);
+  const uint64_t c1 = (hasher.Hash(1) + kMersenne61 - c0) % kMersenne61;
+  EXPECT_NE(c1, 0u);
+  uint64_t inverse = 1;  // c1^(p-2) by square-and-multiply (Fermat)
+  for (uint64_t e = kMersenne61 - 2, b = c1; e != 0; e >>= 1) {
+    if ((e & 1) != 0) inverse = MulMod61(inverse, b);
+    b = MulMod61(b, b);
+  }
+  return MulMod61((target + kMersenne61 - c0) % kMersenne61, inverse);
+}
+
+TEST(CellHasherTest, DepthAtExtremeHashes) {
+  // Hash 0 is sampled at every level (Depth caps at kMaxLevel); hashes
+  // with exactly 59 or 60 trailing zeros sit at and just below the cap.
+  CellHasher hasher(HashFamily::kKWisePoly, 99, /*kwise_k=*/2);
+  for (const uint64_t target :
+       {uint64_t{0}, uint64_t{1} << 59, uint64_t{1} << 60,
+        (uint64_t{1} << 60) | (uint64_t{1} << 59), uint64_t{1}}) {
+    const uint64_t key = KeyWithPolyHash(hasher, target);
+    ASSERT_EQ(hasher.Hash(key), target);
+    const uint32_t expect =
+        target == 0 ? CellHasher::kMaxLevel
+                    : std::min<uint32_t>(
+                          static_cast<uint32_t>(__builtin_ctzll(target)),
+                          CellHasher::kMaxLevel);
+    EXPECT_EQ(hasher.Depth(key), expect) << "hash " << target;
+    for (uint32_t level = 0; level <= CellHasher::kMaxLevel; ++level) {
+      EXPECT_EQ(hasher.SampledAtLevel(key, level), level <= expect)
+          << "hash " << target << " level " << level;
+    }
   }
 }
 

@@ -581,6 +581,39 @@ TEST(SwPipelineDeterminismTest, LegacyDifferentialPinsTheRefactor) {
   }
 }
 
+TEST(SwPipelineDeterminismTest, LegacyDifferentialBeyondThirtyTwoLevels) {
+  // A window wider than 2^31 stamp units gives the hierarchy more than 32
+  // levels, so the cell directory's level masks need their upper 32 bits.
+  // Stamps advance 2^25 per arrival (the window spans ~256 arrivals) with
+  // rare jumps past the window: expiry waves at every level.
+  const int64_t window = (int64_t{1} << 33) + 5;
+  const std::vector<Point> points = RevisitStream(3000, 120, 46);
+  std::vector<int64_t> stamps;
+  Xoshiro256pp rng(SplitMix64(47));
+  int64_t stamp = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    stamp += rng.NextBounded(200) == 0 ? window + 1 : int64_t{1} << 25;
+    stamps.push_back(stamp);
+  }
+  for (const size_t cap : {size_t{0}, size_t{5}}) {
+    SCOPED_TRACE("accept_cap " + std::to_string(cap));
+    SamplerOptions opts = BaseOptions(906);
+    opts.accept_cap = cap;
+    auto flat = RobustL0SamplerSW::Create(opts, window).value();
+    auto legacy = LegacySwSampler::Create(opts, window).value();
+    ASSERT_GT(flat.num_levels(), 32u);
+    for (size_t i = 0; i < points.size(); ++i) {
+      flat.Insert(points[i], stamps[i]);
+      legacy.Insert(points[i], stamps[i]);
+      if (i % 500 == 499) ExpectSameLevelState(flat, legacy);
+    }
+    EXPECT_EQ(flat.error_count(), legacy.error_count());
+    EXPECT_EQ(flat.stuck_split_count(), legacy.stuck_split_count());
+    EXPECT_EQ(flat.SpaceWords(), legacy.SpaceWords());
+    ExpectSameLevelState(flat, legacy);
+  }
+}
+
 TEST(SwPipelineDeterminismTest, FixedRateLevelZeroTracksExactWindowGroups) {
   // Algorithm 2 at level 0 (rate 1) tracks *exactly* the live window
   // groups, each with its true latest point — the crisp rate-1 window

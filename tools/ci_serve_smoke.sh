@@ -149,23 +149,31 @@ for i in $(seq 20); do
     exit 1
   fi
 done
-# Integer flags are exact: a malformed or out-of-range value is a usage
+# Numeric flags are exact: a malformed or out-of-range value is a usage
 # error (exit 2, naming the flag), never a silently truncated number.
+expect_usage_error() {  # <flag the message must name> <rl0_cli args...>
+  local flag=$1
+  shift
+  local status=0
+  "$BUILD/rl0_cli" "$@" > /dev/null 2> "$TMP/bad.err" || status=$?
+  if [[ $status -ne 2 ]] || ! grep -q -- "$flag" "$TMP/bad.err"; then
+    echo "smoke: rl0_cli $*: exit $status, want 2 naming $flag" >&2
+    cat "$TMP/bad.err" >&2
+    exit 1
+  fi
+}
 # (No --shards value above the cap here: a binary without the cap would
 # start that many workers.)
 for bad in "--shards abc" "--shards 0" "--shards -3" "--queries -2" \
     "--seed 1.5"; do
-  status=0
   # shellcheck disable=SC2086  # $bad is a flag and its value
-  "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 $bad "$TMP/seq.csv" \
-    > /dev/null 2> "$TMP/bad.err" || status=$?
-  flag=${bad%% *}
-  if [[ $status -ne 2 ]] || ! grep -q -- "$flag" "$TMP/bad.err"; then
-    echo "smoke: rl0_cli $bad: exit $status, want 2 naming $flag" >&2
-    cat "$TMP/bad.err" >&2
-    exit 1
-  fi
+  expect_usage_error "${bad%% *}" sample --alpha 0.5 --window 2000 $bad \
+    "$TMP/seq.csv"
 done
+expect_usage_error --alpha sample --alpha 0.5x --window 2000 "$TMP/seq.csv"
+expect_usage_error --alpha sample --alpha '' --window 2000 "$TMP/seq.csv"
+expect_usage_error --epsilon sample --alpha 0.5 --epsilon 1e999 \
+  --window 2000 "$TMP/seq.csv"
 echo "smoke: all three modes and a seed above 2^53 byte-identical to" \
   "rl0_cli; recover OK; 20 early SIGTERMs shut down in order;" \
-  "bad integer flags rejected"
+  "bad numeric flags rejected"

@@ -13,7 +13,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -138,9 +137,12 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
   args->command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
+    // Real flags parse strictly too: the whole token, finite, in range.
+    const auto next_real = [&](double* out) {
+      if (i + 1 >= argc || !rl0::serve::ParseDoubleToken(argv[++i], out)) {
+        *error = arg + " needs a finite number";
+        return false;
+      }
       return true;
     };
     const auto next_str = [&](std::string* out) {
@@ -163,15 +165,9 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
       return true;
     };
     if (arg == "--alpha") {
-      if (!next(&args->alpha)) {
-        *error = "--alpha needs a value";
-        return false;
-      }
+      if (!next_real(&args->alpha)) return false;
     } else if (arg == "--epsilon") {
-      if (!next(&args->epsilon)) {
-        *error = "--epsilon needs a value";
-        return false;
-      }
+      if (!next_real(&args->epsilon)) return false;
     } else if (arg == "--seed") {
       if (!next_int(0, UINT64_MAX, &args->seed)) return false;
     } else if (arg == "--k") {
